@@ -24,9 +24,9 @@ std::int64_t wrap_index(std::int64_t i, std::int64_t n) {
 }
 
 /// Runs the block on a registry kernel if this configuration has one.
-/// Returns false (off-envelope or dispatch disabled) when the caller
-/// must fall back to the interpreter. Telemetry, when attached: hit/miss
-/// counters plus a per-kernel retired-cell throughput gauge.
+/// Returns false (periodic, off-envelope or dispatch disabled) when the
+/// caller must fall back to the interpreter. Telemetry, when attached:
+/// hit/miss counters plus a per-kernel retired-cell throughput gauge.
 template <typename GridT>
 bool try_specialized(std::vector<ProcessingElement>& pes,
                      const BlockingPlan& plan, const BlockExtent& blk,
@@ -35,10 +35,9 @@ bool try_specialized(std::vector<ProcessingElement>& pes,
   const AcceleratorConfig& cfg = plan.config;
   if (!cfg.use_specialized_kernels || pes.empty()) return false;
   const TapSet& taps = pes.front().taps();
-  // Specialized kernels hard-code the clamp border select-chains
-  // (kernels/run_specialized_impl.hpp); every other boundary condition
-  // takes the generic interpreter below.
-  if (!taps.boundary().is_clamp()) return false;
+  // Kernels fill clamp, reflective and dirichlet ghost margins
+  // (kernels/run_specialized_impl.hpp); the registry resolves periodic
+  // boundaries to null, so they keep the wrap-extended interpreter below.
   const SpecializedKernel* kernel = KernelRegistry::instance().find(taps, cfg);
   if (kernel == nullptr) return false;
   Telemetry* const tel = cfg.telemetry;
@@ -55,9 +54,11 @@ bool try_specialized(std::vector<ProcessingElement>& pes,
   const std::int64_t written_before = stats.cells_written;
   const Stopwatch clock;
   if constexpr (std::is_same_v<GridT, Grid2D<float>>) {
-    kernel->run_2d(plan, blk, in, out, steps, cf.data(), stats, cancel);
+    kernel->run_2d(plan, blk, in, out, steps, cf.data(), stats, cancel,
+                   taps.boundary());
   } else {
-    kernel->run_3d(plan, blk, in, out, steps, cf.data(), stats, cancel);
+    kernel->run_3d(plan, blk, in, out, steps, cf.data(), stats, cancel,
+                   taps.boundary());
   }
   if (tel) {
     const std::int64_t ns = clock.nanoseconds();

@@ -128,10 +128,9 @@ std::shared_ptr<const CachedPlan> PlanCache::lookup_or_build(
   plan->kernel_source_bytes = std::int64_t(source.size());
   // Resolve the dispatch target once per plan; stream_block re-derives
   // the same answer per block (same registry, same structural match), so
-  // the handle is a cached fact about the plan, not a side channel.
-  // Specialized kernels hard-code the clamp border chains; every other
-  // boundary condition runs on the generic interpreter.
-  if (plan->config.use_specialized_kernels && taps.boundary().is_clamp()) {
+  // the handle is a cached fact about the plan, not a side channel. The
+  // registry resolves periodic boundaries to the interpreter.
+  if (plan->config.use_specialized_kernels) {
     plan->specialized_kernel = KernelRegistry::instance().find(taps,
                                                               plan->config);
   }

@@ -14,6 +14,16 @@
 namespace fpga_stencil {
 namespace {
 
+/// Whether a job opted into per-job telemetry: a hook on its config, or
+/// on any node of its program -- the opt-in that also gates the
+/// sync_pass and block_parallel.worker spans.
+bool carries_telemetry_hook(const JobSpec& spec) {
+  if (!spec.program) return spec.config.telemetry != nullptr;
+  return std::any_of(
+      spec.program->nodes.begin(), spec.program->nodes.end(),
+      [](const KernelNode& n) { return n.config.telemetry != nullptr; });
+}
+
 /// Cells in whichever grid the variant holds.
 std::int64_t grid_cells(const GridVariant& g) {
   return std::visit([](const auto& grid) { return std::int64_t(grid.size()); },
@@ -343,9 +353,14 @@ void StencilEngine::execute(detail::JobState& job, int worker_id) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - job.enqueue_time)
           .count();
-  const auto span = telemetry_->tracer().span(
-      m("job") + (spec.label.empty() ? "" : ":" + spec.label), worker_id,
-      options_.metrics_prefix);
+  // The tracer keeps every event for the engine's lifetime, so only
+  // hooked jobs record a span: an untraced serving process stays flat.
+  Tracer::Span span;
+  if (carries_telemetry_hook(spec)) {
+    span = telemetry_->tracer().span(
+        m("job") + (spec.label.empty() ? "" : ":" + spec.label), worker_id,
+        options_.metrics_prefix);
+  }
   const Stopwatch run_clock;
   Backend backend_used = Backend::automatic;  // set once routing resolves
   try {

@@ -2,7 +2,17 @@
 
 #include <string>
 
+#include "common/expect.hpp"
+
 namespace fpga_stencil {
+namespace {
+
+void fnv_mix(std::uint64_t& h, std::uint64_t value) {
+  h ^= value;
+  h *= 1099511628211ull;
+}
+
+}  // namespace
 
 bool matches_canonical_star(const TapSet& taps) {
   const int dims = taps.dims();
@@ -46,6 +56,33 @@ bool matches_canonical_box(const TapSet& taps) {
   return true;
 }
 
+KernelArgs SpecializedKernel::args(const float* coeffs,
+                                   const BoundaryCondition& bc) const {
+  FPGASTENCIL_EXPECT(shape != StencilShape::kTable || table != nullptr,
+                     "runtime-table kernel called without a bound table");
+  FPGASTENCIL_EXPECT(bc.kind != BoundaryKind::periodic,
+                     "specialized kernels do not run periodic boundaries");
+  return KernelArgs{coeffs, table, bc};
+}
+
+void SpecializedKernel::run_2d(const BlockingPlan& plan,
+                               const BlockExtent& blk, const Grid2D<float>& in,
+                               Grid2D<float>& out, int steps,
+                               const float* coeffs, RunStats& stats,
+                               const CancellationToken* cancel,
+                               const BoundaryCondition& bc) const {
+  fn_2d(plan, blk, in, out, steps, args(coeffs, bc), stats, cancel);
+}
+
+void SpecializedKernel::run_3d(const BlockingPlan& plan,
+                               const BlockExtent& blk, const Grid3D<float>& in,
+                               Grid3D<float>& out, int steps,
+                               const float* coeffs, RunStats& stats,
+                               const CancellationToken* cancel,
+                               const BoundaryCondition& bc) const {
+  fn_3d(plan, blk, in, out, steps, args(coeffs, bc), stats, cancel);
+}
+
 template <StencilShape Shape, int Rad, int Dims, int ParVec>
 void KernelRegistry::add_entry() {
   SpecializedKernel k;
@@ -54,9 +91,9 @@ void KernelRegistry::add_entry() {
   k.radius = Rad;
   k.parvec = ParVec;
   if constexpr (Dims == 2) {
-    k.run_2d = &run_specialized<Shape, Rad, 2, ParVec>;
+    k.fn_2d = &run_specialized<Shape, Rad, 2, ParVec>;
   } else {
-    k.run_3d = &run_specialized<Shape, Rad, 3, ParVec>;
+    k.fn_3d = &run_specialized<Shape, Rad, 3, ParVec>;
   }
   // names_ is reserved to the envelope size up front, so the c_str()
   // stays stable for the registry's (process) lifetime.
@@ -68,7 +105,7 @@ void KernelRegistry::add_entry() {
 }
 
 KernelRegistry::KernelRegistry() {
-  constexpr std::size_t kEnvelopePoints = 64;
+  constexpr std::size_t kEnvelopePoints = 96;
   entries_.reserve(kEnvelopePoints);
   names_.reserve(kEnvelopePoints);
 #define FPGASTENCIL_REGISTER_KERNEL(SHAPE, RAD, DIMS, PARVEC) \
@@ -77,6 +114,8 @@ KernelRegistry::KernelRegistry() {
   FPGASTENCIL_FOR_EACH_RADIUS_PARVEC(FPGASTENCIL_REGISTER_KERNEL, kStar, 3)
   FPGASTENCIL_FOR_EACH_RADIUS_PARVEC(FPGASTENCIL_REGISTER_KERNEL, kBox, 2)
   FPGASTENCIL_FOR_EACH_RADIUS_PARVEC(FPGASTENCIL_REGISTER_KERNEL, kBox, 3)
+  FPGASTENCIL_FOR_EACH_RADIUS_PARVEC(FPGASTENCIL_REGISTER_KERNEL, kTable, 2)
+  FPGASTENCIL_FOR_EACH_RADIUS_PARVEC(FPGASTENCIL_REGISTER_KERNEL, kTable, 3)
 #undef FPGASTENCIL_REGISTER_KERNEL
 }
 
@@ -87,16 +126,24 @@ const KernelRegistry& KernelRegistry::instance() {
 
 const SpecializedKernel* KernelRegistry::find(
     const TapSet& taps, const AcceleratorConfig& cfg) const {
-  if (cfg.dims != taps.dims()) return nullptr;
-  StencilShape shape;
-  if (matches_canonical_star(taps)) {
-    shape = StencilShape::kStar;
-  } else if (matches_canonical_box(taps)) {
-    shape = StencilShape::kBox;
-  } else {
-    return nullptr;  // custom tap order: interpreter territory
+  // Periodic wraps reach planes and columns a block's rolling window
+  // never holds; those stay on the interpreter's wrap-extended stream.
+  if (cfg.dims != taps.dims() ||
+      taps.boundary().kind == BoundaryKind::periodic) {
+    return nullptr;
   }
-  return lookup(shape, taps.dims(), taps.radius(), cfg.parvec);
+  if (matches_canonical_star(taps)) {
+    return lookup(StencilShape::kStar, taps.dims(), taps.radius(), cfg.parvec);
+  }
+  if (matches_canonical_box(taps)) {
+    return lookup(StencilShape::kBox, taps.dims(), taps.radius(), cfg.parvec);
+  }
+  const SpecializedKernel* family =
+      lookup(StencilShape::kTable, taps.dims(), taps.radius(), cfg.parvec);
+  if (family == nullptr || taps.size() > std::size_t(kMaxTableTaps)) {
+    return nullptr;
+  }
+  return bind(*family, taps);
 }
 
 const SpecializedKernel* KernelRegistry::lookup(StencilShape shape, int dims,
@@ -108,6 +155,47 @@ const SpecializedKernel* KernelRegistry::lookup(StencilShape shape, int dims,
     }
   }
   return nullptr;
+}
+
+const SpecializedKernel* KernelRegistry::bind(const SpecializedKernel& family,
+                                              const TapSet& taps) const {
+  std::uint64_t h = 1469598103934665603ull;
+  fnv_mix(h, std::uint64_t(reinterpret_cast<std::uintptr_t>(&family)));
+  for (const Tap& t : taps.taps()) {
+    fnv_mix(h, std::uint64_t(t.dx));
+    fnv_mix(h, std::uint64_t(t.dy));
+    fnv_mix(h, std::uint64_t(t.dz));
+  }
+  const auto same = [&](const Bound& b) {
+    if (b.kernel.fn_2d != family.fn_2d || b.kernel.fn_3d != family.fn_3d ||
+        b.table.dx.size() != taps.size()) {
+      return false;
+    }
+    for (std::size_t t = 0; t < taps.size(); ++t) {
+      const Tap& tap = taps.taps()[t];
+      if (b.table.dx[t] != tap.dx || b.table.dy[t] != tap.dy ||
+          b.table.dz[t] != tap.dz) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  std::lock_guard<std::mutex> lock(bound_mu_);
+  const auto [first, last] = bound_.equal_range(h);
+  for (auto it = first; it != last; ++it) {
+    if (same(*it->second)) return &it->second->kernel;
+  }
+  if (bound_.size() >= kMaxBoundTables) return nullptr;
+  auto b = std::make_unique<Bound>();
+  for (const Tap& t : taps.taps()) {
+    b->table.dx.push_back(int(t.dx));
+    b->table.dy.push_back(int(t.dy));
+    b->table.dz.push_back(int(t.dz));
+  }
+  b->kernel = family;
+  b->kernel.table = &b->table;
+  return &bound_.emplace(h, std::move(b))->second->kernel;
 }
 
 }  // namespace fpga_stencil

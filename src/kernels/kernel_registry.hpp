@@ -1,52 +1,80 @@
 // Static dispatch table of compile-time-specialized stencil kernels.
 //
-// The paper's throughput comes from baking the stencil shape, radius, and
-// vector width into the generated OpenCL pipeline at synthesis time; the
-// host-side analogue is a C++ template (`run_specialized`, kernels/
+// The paper's throughput comes from baking the stencil's taps, radius,
+// and vector width into the generated OpenCL pipeline at synthesis time;
+// the host-side analogue is a C++ template (`run_specialized`, kernels/
 // run_specialized.hpp) instantiated over the supported envelope
 //
-//   shape  in {star, box}  x  dims in {2, 3}  x  radius in {1..4}
-//                          x  parvec in {1, 4, 8, 16}
+//   table  in {star, box, runtime}  x  dims in {2, 3}  x  radius in {1..4}
+//                                   x  parvec in {1, 4, 8, 16}
 //
-// = 64 entries, registered here in a process-lifetime table. `find`
-// resolves a (TapSet, AcceleratorConfig) pair to an entry by structural
-// match: the tap offsets must be exactly the canonical star or box order
-// (the accumulation order the specialized loops hard-code), and the
-// config's parvec must be an envelope point. Anything else -- custom tap
-// orders, parvec 2, radius 5+ -- returns null and the caller falls back to
-// the scalar interpreter (`stream_block_generic`), which remains the
-// semantic reference.
+// = 96 entries, registered here in a process-lifetime table. `find`
+// resolves a (TapSet, AcceleratorConfig) pair structurally: a tap set in
+// exactly the canonical star or box order gets that shape's constexpr-
+// table entry; any other tap set gets the runtime-table family of its
+// (dims, radius, parvec), bound to the set's offsets. Every boundary
+// condition but periodic dispatches (the kernels fill ghost margins for
+// clamp, reflective and dirichlet). Periodic boundaries, parvec 2,
+// radius 5+ and over-long tap lists return null, and the caller falls
+// back to the scalar interpreter (`stream_block_generic`), which remains
+// the semantic reference.
 //
-// Matching is structural, not fingerprint-equality: coefficients are
-// runtime data (passed to the kernel in tap order), so one instantiation
-// serves every coefficient set of its shape point. The PlanCache still
-// keys plans by the full tap fingerprint and caches the resolved
-// `SpecializedKernel*` alongside the BlockingPlan, so steady-state jobs
-// skip even this structural match.
+// Matching is structural, not fingerprint-equality: coefficients and the
+// boundary condition are runtime data (passed to the kernel per call),
+// so one entry serves every coefficient set and boundary of its shape
+// point. A runtime-table binding is interned once per distinct offset
+// list and lives as long as the registry, so find() results can be
+// cached in plans and called directly. The PlanCache still keys plans by
+// the full tap fingerprint and caches the resolved `SpecializedKernel*`
+// alongside the BlockingPlan.
 //
 // Every kernel is bit-exact with the interpreter by construction (same
-// clamping, same per-cell accumulation order; see docs/KERNELS.md) and
-// tests/kernels_test.cpp verifies each entry exhaustively.
+// boundary values, same per-cell accumulation order; see docs/KERNELS.md)
+// and tests/kernels_test.cpp verifies each entry exhaustively.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "kernels/run_specialized.hpp"
 
 namespace fpga_stencil {
 
-/// One registered instantiation point of `run_specialized`.
+/// One registered instantiation point of `run_specialized`, or a
+/// runtime-table family bound to one tap set's offsets.
 struct SpecializedKernel {
   StencilShape shape = StencilShape::kStar;
   int dims = 2;
   int radius = 1;
   int parvec = 1;
-  SpecializedKernel2DFn run_2d = nullptr;  ///< set when dims == 2
-  SpecializedKernel3DFn run_3d = nullptr;  ///< set when dims == 3
+  SpecializedKernel2DFn fn_2d = nullptr;  ///< set when dims == 2
+  SpecializedKernel3DFn fn_3d = nullptr;  ///< set when dims == 3
   const char* name = "";                   ///< e.g. "star_3d_r4_v16"
+  /// The offsets a kTable entry returned by find() runs; null for the
+  /// canonical entries and for the unbound families entries() lists.
+  const KernelTapTable* table = nullptr;
+
+  /// One block pass (see run_specialized). `coeffs` are in the matched
+  /// tap set's order; `bc` is any boundary but periodic.
+  void run_2d(const BlockingPlan& plan, const BlockExtent& blk,
+              const Grid2D<float>& in, Grid2D<float>& out, int steps,
+              const float* coeffs, RunStats& stats,
+              const CancellationToken* cancel,
+              const BoundaryCondition& bc = {}) const;
+  void run_3d(const BlockingPlan& plan, const BlockExtent& blk,
+              const Grid3D<float>& in, Grid3D<float>& out, int steps,
+              const float* coeffs, RunStats& stats,
+              const CancellationToken* cancel,
+              const BoundaryCondition& bc = {}) const;
+
+ private:
+  [[nodiscard]] KernelArgs args(const float* coeffs,
+                                const BoundaryCondition& bc) const;
 };
 
 /// True when `taps` is exactly the canonical star order for its (dims,
@@ -62,22 +90,28 @@ struct SpecializedKernel {
 
 class KernelRegistry {
  public:
+  /// Distinct runtime tables interned before find() stops binding new
+  /// ones (they then run on the interpreter): bounds the registry in a
+  /// long-lived process fed arbitrary tap sets.
+  static constexpr std::size_t kMaxBoundTables = 1024;
+
   KernelRegistry(const KernelRegistry&) = delete;
   KernelRegistry& operator=(const KernelRegistry&) = delete;
 
   /// The process-wide table. Construction is thread-safe (C++ static
-  /// local) and the table is immutable afterwards, so handles can be
-  /// shared freely across threads and cached in plans.
+  /// local), the envelope entries are immutable afterwards, and bound
+  /// runtime tables are never freed or moved, so handles can be shared
+  /// freely across threads and cached in plans.
   [[nodiscard]] static const KernelRegistry& instance();
 
   /// Resolves the specialized kernel for a (taps, config) pair, or null
-  /// when the pair is off-envelope and must run on the interpreter.
-  /// Structural match only -- never inspects coefficients, grid extents,
-  /// or block sizes.
+  /// when the pair must run on the interpreter. Structural match only --
+  /// never inspects coefficients, grid extents, or block sizes.
   [[nodiscard]] const SpecializedKernel* find(
       const TapSet& taps, const AcceleratorConfig& cfg) const;
 
-  /// Exact envelope lookup (tests, benches).
+  /// Exact envelope lookup (tests, benches); kTable returns the unbound
+  /// family.
   [[nodiscard]] const SpecializedKernel* lookup(StencilShape shape, int dims,
                                                 int radius, int parvec) const;
 
@@ -91,8 +125,20 @@ class KernelRegistry {
   template <StencilShape Shape, int Rad, int Dims, int ParVec>
   void add_entry();
 
+  /// The family bound to `taps`' offsets, interned on first use.
+  const SpecializedKernel* bind(const SpecializedKernel& family,
+                                const TapSet& taps) const;
+
+  struct Bound {
+    SpecializedKernel kernel;
+    KernelTapTable table;
+  };
+
   std::vector<SpecializedKernel> entries_;
   std::vector<std::string> names_;  ///< owns SpecializedKernel::name storage
+  mutable std::mutex bound_mu_;     ///< guards bound_
+  mutable std::unordered_multimap<std::uint64_t, std::unique_ptr<Bound>>
+      bound_;  ///< keyed by a hash of (family, offsets)
 };
 
 }  // namespace fpga_stencil

@@ -1,33 +1,42 @@
 // `run_specialized<Shape, Rad, Dims, ParVec>`: one overlapped block pass,
-// with the stencil shape, radius, dimensionality, and vector width baked
-// in at compile time.
+// with the tap table, radius, dimensionality, and vector width baked in
+// at compile time.
 //
 // This is the host-side analogue of the paper's synthesized pipeline. The
 // scalar interpreter (`stream_block_generic`) walks a ring-buffer shift
 // register cell by cell with per-tap bounds checks; a specialized kernel
 // instead keeps a structure-of-arrays rolling window of planes (3D) /
 // rows (2D) per temporal stage (PlanarShiftRegister) and updates each
-// output row with tap-outer / lane-inner loops whose trip counts are
-// constexpr, so the compiler fully vectorizes the interior.
+// output row with tap-outer / lane-inner loops whose lane count is
+// constexpr, so the compiler fully vectorizes them.
 //
-// Bit-exactness contract (verified per entry by tests/kernels_test.cpp):
-// for every cell the accumulation is `acc = c[0]*tap0; acc += c[t]*tapt`
-// in canonical tap order, with every tap clamped toward the grid per axis
-// and out-of-grid centers producing zero -- exactly the interpreter's
-// arithmetic, in the same order. The only intentional divergence is in
-// cells no valid output can observe: block-edge lanes within `radius` of
-// the block boundary in computed stages read wrapped shift-register rows
-// in the interpreter; the specialized kernels zero them (see
+// Tap tables come in two kinds. The canonical star and box orders are
+// constexpr tables (Shape kStar / kBox): their tap loops have constexpr
+// trip counts. Any other tap set runs on a kTable instantiation that
+// reads its offsets from a runtime KernelTapTable. Boundaries are a
+// ghost-margin fill (clamp, reflective, dirichlet; see
+// run_specialized_impl.hpp), so no tap loop carries a border branch.
+//
+// Bit-exactness contract (verified per entry by tests/kernels_test.cpp
+// and per boundary by tests/boundary_test.cpp): for every cell the
+// accumulation is `acc = c[0]*tap0; acc += c[t]*tapt` in the tap set's
+// order, each out-of-grid tap reading exactly the value the interpreter's
+// border select-chain picks. The only intentional divergence is in cells
+// no valid output can observe: block-edge lanes within `radius` of the
+// block boundary in computed stages read wrapped shift-register rows in
+// the interpreter; the specialized kernels read padding there (see
 // docs/KERNELS.md for the influence-cone argument that this is sound).
 //
 // Instantiations for the supported envelope live in star_kernels_*.cpp /
-// box_kernels_*.cpp and are reachable through the KernelRegistry; this
-// header only declares the template and the envelope's extern templates,
-// so including it never re-instantiates kernel code.
+// box_kernels_*.cpp / table_kernels_*.cpp and are reachable through the
+// KernelRegistry; this header only declares the template and the
+// envelope's extern templates, so including it never re-instantiates
+// kernel code.
 #pragma once
 
 #include <cstdint>
 #include <type_traits>
+#include <vector>
 
 #include "stencil/accel_config.hpp"
 #include "stencil/tap_set.hpp"
@@ -41,37 +50,60 @@ class Grid3D;
 class CancellationToken;
 struct RunStats;
 
-/// The two tap layouts with canonical orders the kernels hard-code.
-enum class StencilShape { kStar, kBox };
+/// Where a kernel's tap offsets come from: the canonical star or box
+/// order (constexpr tables), or a runtime KernelTapTable for any other
+/// tap set.
+enum class StencilShape { kStar, kBox, kTable };
 
 [[nodiscard]] constexpr const char* stencil_shape_name(StencilShape s) {
-  return s == StencilShape::kStar ? "star" : "box";
+  switch (s) {
+    case StencilShape::kStar: return "star";
+    case StencilShape::kBox: return "box";
+    case StencilShape::kTable: return "table";
+  }
+  return "?";
 }
+
+/// Most taps a runtime table may carry: the radius-4 3D box. A longer
+/// tap set repeats offsets and runs on the interpreter.
+inline constexpr int kMaxTableTaps = 9 * 9 * 9;
+
+/// The tap offsets of a non-canonical tap set, in accumulation order.
+struct KernelTapTable {
+  std::vector<int> dx, dy, dz;
+};
+
+/// What a kernel reads besides the grids.
+struct KernelArgs {
+  const float* coeffs = nullptr;          ///< one per tap, accumulation order
+  const KernelTapTable* table = nullptr;  ///< kTable kernels only
+  BoundaryCondition boundary;             ///< clamp, reflective or dirichlet
+};
 
 template <int Dims>
 using GridOf = std::conditional_t<Dims == 3, Grid3D<float>, Grid2D<float>>;
 
 /// Runs one block pass of `steps` (<= cfg.partime) time steps over `blk`,
-/// retiring the block's valid compute region into `out`. `coeffs` holds
-/// the tap coefficients in canonical order for <Shape, Rad, Dims> (the
-/// caller extracts them from its TapSet). Stats accounting matches the
-/// interpreter field for field (cells_streamed, vectors_processed,
-/// block_passes, cells_written), and a non-null `cancel` token is polled
-/// once per streamed plane/row -- at least as often as the interpreter's
-/// one-block-time cancellation bound requires.
+/// retiring the block's valid compute region into `out`. Stats
+/// accounting matches the interpreter field for field (cells_streamed,
+/// vectors_processed, block_passes, cells_written), and a non-null
+/// `cancel` token is polled once per streamed plane/row -- at least as
+/// often as the interpreter's one-block-time cancellation bound requires.
+/// A periodic boundary is a precondition violation (the registry never
+/// resolves one to a kernel).
 template <StencilShape Shape, int Rad, int Dims, int ParVec>
 void run_specialized(const BlockingPlan& plan, const BlockExtent& blk,
                      const GridOf<Dims>& in, GridOf<Dims>& out, int steps,
-                     const float* coeffs, RunStats& stats,
+                     const KernelArgs& args, RunStats& stats,
                      const CancellationToken* cancel);
 
 using SpecializedKernel2DFn = void (*)(const BlockingPlan&, const BlockExtent&,
                                        const Grid2D<float>&, Grid2D<float>&,
-                                       int, const float*, RunStats&,
+                                       int, const KernelArgs&, RunStats&,
                                        const CancellationToken*);
 using SpecializedKernel3DFn = void (*)(const BlockingPlan&, const BlockExtent&,
                                        const Grid3D<float>&, Grid3D<float>&,
-                                       int, const float*, RunStats&,
+                                       int, const KernelArgs&, RunStats&,
                                        const CancellationToken*);
 
 // The envelope's explicit instantiations (one TU per shape x dims so a
@@ -98,13 +130,15 @@ using SpecializedKernel3DFn = void (*)(const BlockingPlan&, const BlockExtent&,
   extern template void                                                  \
   run_specialized<StencilShape::SHAPE, RAD, DIMS, PARVEC>(              \
       const BlockingPlan&, const BlockExtent&, const GridOf<DIMS>&,     \
-      GridOf<DIMS>&, int, const float*, RunStats&,                      \
+      GridOf<DIMS>&, int, const KernelArgs&, RunStats&,                 \
       const CancellationToken*);
 
 FPGASTENCIL_FOR_EACH_RADIUS_PARVEC(FPGASTENCIL_EXTERN_KERNEL, kStar, 2)
 FPGASTENCIL_FOR_EACH_RADIUS_PARVEC(FPGASTENCIL_EXTERN_KERNEL, kStar, 3)
 FPGASTENCIL_FOR_EACH_RADIUS_PARVEC(FPGASTENCIL_EXTERN_KERNEL, kBox, 2)
 FPGASTENCIL_FOR_EACH_RADIUS_PARVEC(FPGASTENCIL_EXTERN_KERNEL, kBox, 3)
+FPGASTENCIL_FOR_EACH_RADIUS_PARVEC(FPGASTENCIL_EXTERN_KERNEL, kTable, 2)
+FPGASTENCIL_FOR_EACH_RADIUS_PARVEC(FPGASTENCIL_EXTERN_KERNEL, kTable, 3)
 
 #undef FPGASTENCIL_EXTERN_KERNEL
 

@@ -1,15 +1,8 @@
 // Definition of run_specialized (declared in run_specialized.hpp).
 //
 // Included only by the explicit-instantiation TUs (star_kernels_*.cpp,
-// box_kernels_*.cpp); everything else links against those instantiations
-// through the extern templates.
-//
-// Specialized kernels are the clamp fast path: the border select-chains
-// below hard-code clamp-toward-grid per axis. Tap sets carrying any other
-// BoundaryCondition never dispatch here -- block_streamer::try_specialized
-// and PlanCache's specialized-kernel resolution both gate on
-// taps.boundary().is_clamp(), routing the generic interpreter instead
-// (docs/PROGRAMS.md).
+// box_kernels_*.cpp, table_kernels_*.cpp); everything else links against
+// those instantiations through the extern templates.
 //
 // ## Algorithm: array-form rolling window
 //
@@ -22,33 +15,56 @@
 // iteration:
 //
 //   for z in [0, nz + steps*Rad):          // streamed dim + pipeline drain
-//     read  : load input plane z into stage 0's window (zero off-grid)
+//     read  : load input plane z into stage 0's window, fill its ghosts
 //     update: for k = 1..steps, plane p = z - k*Rad of stage k becomes
 //             computable (its +Rad source in stage k-1 just landed);
-//             compute it row by row from stage k-1's window
+//             compute it row by row from stage k-1's window, fill its
+//             ghosts
 //     write : plane z - steps*Rad of stage `steps` is final; retire its
 //             valid compute region into `out`
 //
 // Per cell the arithmetic is the interpreter's exactly: taps accumulate
-// in canonical order (acc = c0*t0; acc += ct*tt), every tap clamps toward
-// the grid per axis, out-of-grid centers yield zero. Stream-dim and row
-// clamping are uniform over a row, so they are hoisted: per plane a table
-// of z-clamped source-plane pointers, per row a table of y-clamped row
-// deltas, leaving only x-clamping in the lane loop -- and only in the
-// border segment. The interior segment (no tap can clamp) runs in
-// ParVec-wide chunks with tap-outer/lane-inner loops whose trip counts
-// are constexpr; each lane carries an independent dependency chain in the
-// interpreter's op order, so vectorization cannot change results.
+// in tap-set order (acc = c0*t0; acc += ct*tt) and only in-grid centers
+// are computed. The tap table is a run_block parameter: the canonical
+// star/box tables are constexpr (constexpr tap trip counts), any other
+// tap set passes a runtime table through the same body. Rows run in
+// ParVec-wide chunks with tap-outer/lane-inner loops whose lane count is
+// constexpr, then a scalar remainder; each lane carries an independent
+// dependency chain in the interpreter's op order, so vectorization
+// cannot change results.
+//
+// ## Boundaries: ghost margins, refilled per stage
+//
+// Every window row/plane carries Rad padding cells per side of each
+// blocked axis. Whenever a stage writes a row (2D) or plane (3D) whose
+// block holds a grid edge, the Rad cells past that edge are filled by the
+// boundary condition's rule from the values just written: clamp copies
+// the edge cell, reflective the mirrored cell (-k -> k, n-1+k -> n-1-k),
+// dirichlet writes its constant. In 3D the x margins of every in-grid row
+// are filled first, then whole padded rows are copied into the y margins,
+// which reproduces the interpreter's per-axis remap at corners too. The
+// streamed axis has no margin: per computed plane a table of 2*Rad + 1
+// source-plane pointers resolves each dz by the same rule, pointing at a
+// constant plane for dirichlet. Every tap of an in-grid cell therefore
+// reads a plain offset -- no per-tap border branch, clamp included -- and
+// each ghost holds exactly the float the interpreter's select chain picks.
+// Because stage k's ghosts are filled from stage k's own values, the fill
+// repeats at every temporal stage.
+//
+// Periodic boundaries never reach this file: a rolling window cannot see
+// the wrapped planes at z = 0 and wrapped columns live in other blocks,
+// so they keep the interpreter's wrap-extended stream (block_streamer).
 //
 // ## Why block-edge divergence is sound (influence cone)
 //
-// Windows are padded by Rad zero cells per side of each blocked axis, so
-// a computed cell near the block edge may read zeros where the
-// interpreter's ring reads wrapped rows. Neither value can reach a valid
-// output: by induction, the stage-k cells any retired cell depends on lie
-// within halo - (steps - k)*Rad .. halo + csize + (steps - k)*Rad of the
-// block-local blocked axes (each stage widens the cone by at most Rad,
-// clamping only pulls reads inward), which for k >= 1 stays at least Rad
+// Block edges inside the grid keep their padding, so a computed cell near
+// the block edge may read padding where the interpreter's ring reads
+// wrapped rows. Neither value can reach a valid output: by induction, the
+// stage-k cells any retired cell depends on lie within halo -
+// (steps - k)*Rad .. halo + csize + (steps - k)*Rad of the block-local
+// blocked axes (each stage widens the cone by at most Rad; a ghost read
+// at a grid edge resolves to a cell at most Rad further inward, which is
+// inside the previous stage's cone), which for k >= 1 stays at least Rad
 // away from the block edge since halo = partime*radius >= steps*Rad. All
 // cells inside that cone are computed from genuinely loaded input with
 // the exact interpreter arithmetic; everything outside is don't-care for
@@ -59,6 +75,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <type_traits>
 
 #include "common/cancellation.hpp"
 #include "common/math_util.hpp"
@@ -87,6 +104,7 @@ namespace kernels_detail {
 /// these offsets in this order, so `coeffs[t]` belongs to offset t).
 template <StencilShape Shape, int Rad, int Dims>
 struct TapPattern {
+  static_assert(Shape != StencilShape::kTable, "runtime tables have no pattern");
   static constexpr int kSide = 2 * Rad + 1;
   static constexpr int kCount =
       Shape == StencilShape::kStar
@@ -132,87 +150,147 @@ struct TapPattern {
   static constexpr Offsets kOffsets = make_offsets();
 };
 
-/// One cell with per-tap x-clamping (grid-boundary columns); y/z
-/// clamping is already folded into the `rows` pointers.
-template <int NTaps>
-[[nodiscard]] inline float compute_border_cell(std::int64_t x, std::int64_t xg,
-                                               std::int64_t nx,
-                                               const float* const* rows,
-                                               const int* dxs,
-                                               const float* cf) {
-  std::int64_t d = clamp_index(xg + dxs[0], 0, nx - 1) - xg;
-  float acc = cf[0] * rows[0][x + d];
-  for (int t = 1; t < NTaps; ++t) {
-    d = clamp_index(xg + dxs[t], 0, nx - 1) - xg;
-    acc += cf[t] * rows[t][x + d];
-  }
-  return acc;
-}
+/// The tap table run_block reads, as a view. `Count` is a std::integral_constant
+/// for the canonical tables (constexpr tap loops) and int for runtime
+/// tables; either way count <= kMaxTableTaps.
+template <typename Count>
+struct TapView {
+  Count count;
+  const int* dx;
+  const int* dy;
+  const int* dz;
+};
 
-/// One output row (block-local x in [0, bx)) of one stage: zero segments
-/// where the center is off-grid, x-clamped scalar cells at the grid's x
-/// boundaries, ParVec-wide vectorized chunks in the interior. `dst` and
-/// each `rows[t]` point at block-local x == 0 of rows padded by >= Rad
-/// cells per side.
-template <int NTaps, int ParVec>
-inline void compute_row(float* dst, std::int64_t bx, std::int64_t x0,
-                        std::int64_t nx, std::int64_t rad,
-                        const float* const* rows, const int* dxs,
-                        const float* cf) {
-  const std::int64_t grid_lo = std::clamp<std::int64_t>(-x0, 0, bx);
-  const std::int64_t grid_hi = std::clamp<std::int64_t>(nx - x0, grid_lo, bx);
-  std::fill(dst, dst + grid_lo, 0.0f);
-  std::fill(dst + grid_hi, dst + bx, 0.0f);
-  // Columns where some tap could cross the grid's x boundary.
-  const std::int64_t il = std::clamp<std::int64_t>(rad - x0, grid_lo, grid_hi);
-  const std::int64_t ih =
-      std::clamp<std::int64_t>(nx - rad - x0, il, grid_hi);
-  std::int64_t x = grid_lo;
-  for (; x < il; ++x) {
-    dst[x] = compute_border_cell<NTaps>(x, x0 + x, nx, rows, dxs, cf);
-  }
-  for (; x + ParVec <= ih; x += ParVec) {
+/// Cells [lo, hi) of one output row: `taps[t] + off` points at block-local
+/// x == 0 of tap t's source row, already shifted by the tap's dx.
+template <int ParVec, typename Count>
+inline void compute_row(float* dst, std::int64_t lo, std::int64_t hi,
+                        const float* const* taps, std::int64_t off,
+                        const float* cf, Count n) {
+  std::int64_t x = lo;
+  for (; x + ParVec <= hi; x += ParVec) {
     float acc[ParVec];
-    const float* r0 = rows[0] + x + dxs[0];
+    const float* r0 = taps[0] + off + x;
     FPGASTENCIL_SIMD_LOOP
     for (int l = 0; l < ParVec; ++l) acc[l] = cf[0] * r0[l];
-    for (int t = 1; t < NTaps; ++t) {
-      const float* rt = rows[t] + x + dxs[t];
+    for (int t = 1; t < n; ++t) {
+      const float* rt = taps[t] + off + x;
       const float ct = cf[t];
       FPGASTENCIL_SIMD_LOOP
       for (int l = 0; l < ParVec; ++l) acc[l] += ct * rt[l];
     }
     for (int l = 0; l < ParVec; ++l) dst[x + l] = acc[l];
   }
-  // Chunk remainder: interior columns never clamp, so the border form
-  // degenerates to the identical operation sequence.
-  for (; x < grid_hi; ++x) {
-    dst[x] = compute_border_cell<NTaps>(x, x0 + x, nx, rows, dxs, cf);
+  for (; x < hi; ++x) {  // chunk remainder: the same op sequence, scalar
+    float acc = cf[0] * taps[0][off + x];
+    for (int t = 1; t < n; ++t) acc += cf[t] * taps[t][off + x];
+    dst[x] = acc;
+  }
+}
+
+/// A blocked axis in block-local coordinates: in-grid cells [lo, hi), and
+/// whether the block holds the grid's low/high edge. Only a held edge
+/// gets its Rad ghost cells filled; an edge beyond the block leaves the
+/// padding alone, which the influence cone never reads.
+struct AxisEdges {
+  std::int64_t lo = 0, hi = 0;
+  bool has_lo = false, has_hi = false;
+};
+
+inline AxisEdges axis_edges(std::int64_t origin, std::int64_t n,
+                            std::int64_t b) {
+  AxisEdges e;
+  e.lo = std::clamp<std::int64_t>(-origin, 0, b);
+  e.hi = std::clamp<std::int64_t>(n - origin, e.lo, b);
+  e.has_lo = e.hi > e.lo && origin <= 0;
+  e.has_hi = e.hi > e.lo && n - origin <= b;
+  return e;
+}
+
+/// Block-local cell a clamp or reflective ghost at `g` copies.
+inline std::int64_t ghost_source(BoundaryKind kind, std::int64_t g,
+                                 const AxisEdges& e) {
+  if (kind == BoundaryKind::reflective) {
+    return g < e.lo ? 2 * e.lo - g : 2 * (e.hi - 1) - g;
+  }
+  return g < e.lo ? e.lo : e.hi - 1;
+}
+
+/// Fills the x ghosts of one row (`row` at block-local x == 0).
+template <int Rad>
+inline void fill_row_ghosts(float* row, const AxisEdges& ex,
+                            const BoundaryCondition& bc) {
+  const auto fill = [&](std::int64_t g0) {
+    for (std::int64_t g = g0; g < g0 + Rad; ++g) {
+      row[g] = bc.kind == BoundaryKind::dirichlet
+                   ? bc.value
+                   : row[ghost_source(bc.kind, g, ex)];
+    }
+  };
+  if (ex.has_lo) fill(ex.lo - Rad);
+  if (ex.has_hi) fill(ex.hi);
+}
+
+/// Fills the y ghost rows of one plane (`origin` at block-local (0, 0),
+/// rows `prow` apart) with whole padded rows, x ghosts included.
+template <int Rad>
+inline void fill_plane_ghosts(float* origin, std::int64_t prow,
+                              const AxisEdges& ey,
+                              const BoundaryCondition& bc) {
+  const auto fill = [&](std::int64_t g0) {
+    for (std::int64_t g = g0; g < g0 + Rad; ++g) {
+      float* dst = origin + g * prow - Rad;
+      if (bc.kind == BoundaryKind::dirichlet) {
+        std::fill(dst, dst + prow, bc.value);
+      } else {
+        std::memcpy(dst, origin + ghost_source(bc.kind, g, ey) * prow - Rad,
+                    std::size_t(prow) * sizeof(float));
+      }
+    }
+  };
+  if (ey.has_lo) fill(ey.lo - Rad);
+  if (ey.has_hi) fill(ey.hi);
+}
+
+/// Stream index a tap at `i` reads, or -1 for the dirichlet constant. The
+/// reflective clamp only guards extents <= Rad, which validation rejects.
+inline std::int64_t stream_source(const BoundaryCondition& bc, std::int64_t i,
+                                  std::int64_t n) {
+  if (i >= 0 && i < n) return i;
+  switch (bc.kind) {
+    case BoundaryKind::dirichlet:
+      return -1;
+    case BoundaryKind::reflective:
+      return clamp_index(i < 0 ? -i : 2 * n - 2 - i, 0, n - 1);
+    default:
+      return clamp_index(i, 0, n - 1);
   }
 }
 
 /// 2D block pass: x blocked, y streamed; window planes are single rows.
-template <StencilShape Shape, int Rad, int ParVec>
+template <int Rad, int ParVec, typename Count>
 void run_block(const BlockingPlan& plan, const BlockExtent& blk,
                const Grid2D<float>& in, Grid2D<float>& out, int steps,
-               const float* cf, RunStats& stats,
-               const CancellationToken* cancel) {
-  using Pattern = TapPattern<Shape, Rad, 2>;
-  constexpr int N = Pattern::kCount;
-  constexpr auto& offs = Pattern::kOffsets;
+               const TapView<Count>& taps, const KernelArgs& args,
+               RunStats& stats, const CancellationToken* cancel) {
   constexpr std::int64_t W = 2 * Rad + 1;
-
   const AcceleratorConfig& cfg = plan.config;
+  const BoundaryCondition& bc = args.boundary;
   const std::int64_t bx = cfg.bsize_x;
-  const std::int64_t nx = in.nx(), ny = in.ny();
+  const std::int64_t ny = in.ny();
   const std::int64_t x0 = blk.x0;
   const std::int64_t prow = bx + 2 * Rad;  // padded row stride
 
   KernelWorkspace& ws = tls_kernel_workspace();
-  const std::size_t slab =
+  const std::size_t windows =
       std::size_t(steps + 1) * std::size_t(W) * std::size_t(prow);
-  float* base = ws.ensure(slab);
-  std::fill(base, base + slab, 0.0f);  // margins must read as zero
+  float* base = ws.ensure(windows + std::size_t(prow));
+  std::fill(base, base + windows, 0.0f);
+  // Dirichlet: every tap past the streamed edge reads this constant row.
+  float* const ghost_row = base + windows + Rad;
+  if (bc.kind == BoundaryKind::dirichlet) {
+    std::fill(ghost_row - Rad, ghost_row - Rad + prow, bc.value);
+  }
   const auto window = [&](int stage) {
     return PlanarShiftRegister<float>(base + std::size_t(stage) * W * prow, W,
                                       prow);
@@ -222,9 +300,7 @@ void run_block(const BlockingPlan& plan, const BlockExtent& blk,
     return window(stage).plane(r) + Rad;
   };
 
-  const std::int64_t grid_lo = std::clamp<std::int64_t>(-x0, 0, bx);
-  const std::int64_t grid_hi = std::clamp<std::int64_t>(nx - x0, grid_lo, bx);
-
+  const AxisEdges ex = axis_edges(x0, in.nx(), bx);
   const std::int64_t halo = cfg.halo();
   const std::int64_t wx_lo = halo;
   const std::int64_t wx_hi =
@@ -233,35 +309,31 @@ void run_block(const BlockingPlan& plan, const BlockExtent& blk,
   const std::int64_t ymax = ny + std::int64_t(steps) * Rad;
   for (std::int64_t y = 0; y < ymax; ++y) {
     if (cancel) cancel->throw_if_cancelled();
-    // --- read: load input row y (zero outside the grid) ---
-    float* in_row = content(0, y);
-    if (y >= ny) {
-      std::fill(in_row, in_row + bx, 0.0f);
-    } else {
-      std::fill(in_row, in_row + grid_lo, 0.0f);
-      if (grid_hi > grid_lo) {
-        std::memcpy(in_row + grid_lo, &in.at(x0 + grid_lo, y),
-                    std::size_t(grid_hi - grid_lo) * sizeof(float));
-      }
-      std::fill(in_row + grid_hi, in_row + bx, 0.0f);
+    // --- read: load input row y and fill its ghosts ---
+    if (y < ny && ex.hi > ex.lo) {
+      float* row = content(0, y);
+      std::memcpy(row + ex.lo, &in.at(x0 + ex.lo, y),
+                  std::size_t(ex.hi - ex.lo) * sizeof(float));
+      fill_row_ghosts<Rad>(row, ex, bc);
     }
 
     // --- update: stage-k rows that just became computable ---
     for (int k = 1; k <= steps; ++k) {
       const std::int64_t r = y - std::int64_t(k) * Rad;
       if (r < 0) break;  // deeper stages lag even further
+      if (r >= ny) continue;  // off-grid center row: never read
+      std::array<const float*, W> src;
+      for (std::int64_t j = 0; j < W; ++j) {
+        const std::int64_t s = stream_source(bc, r + j - Rad, ny);
+        src[std::size_t(j)] = s < 0 ? ghost_row : content(k - 1, s);
+      }
+      const float* tp[kMaxTableTaps];
+      for (int t = 0; t < taps.count; ++t) {
+        tp[t] = src[std::size_t(taps.dy[t] + Rad)] + taps.dx[t];
+      }
       float* dst = content(k, r);
-      if (r >= ny) {  // off-grid center row: zeros, overwriting the slot
-        std::fill(dst, dst + bx, 0.0f);
-        continue;
-      }
-      const float* rows[N];
-      for (int t = 0; t < N; ++t) {
-        const std::int64_t src =
-            clamp_index(r + offs.dy[t], 0, ny - 1);
-        rows[t] = content(k - 1, src);
-      }
-      compute_row<N, ParVec>(dst, bx, x0, nx, Rad, rows, offs.dx.data(), cf);
+      compute_row<ParVec>(dst, ex.lo, ex.hi, tp, 0, args.coeffs, taps.count);
+      fill_row_ghosts<Rad>(dst, ex, bc);
     }
 
     // --- write: retire the finished row ---
@@ -279,40 +351,42 @@ void run_block(const BlockingPlan& plan, const BlockExtent& blk,
 
 /// 3D block pass: x/y blocked, z streamed; window planes are padded
 /// (bsize_y + 2*Rad) x (bsize_x + 2*Rad) tiles.
-template <StencilShape Shape, int Rad, int ParVec>
+template <int Rad, int ParVec, typename Count>
 void run_block(const BlockingPlan& plan, const BlockExtent& blk,
                const Grid3D<float>& in, Grid3D<float>& out, int steps,
-               const float* cf, RunStats& stats,
-               const CancellationToken* cancel) {
-  using Pattern = TapPattern<Shape, Rad, 3>;
-  constexpr int N = Pattern::kCount;
-  constexpr auto& offs = Pattern::kOffsets;
+               const TapView<Count>& taps, const KernelArgs& args,
+               RunStats& stats, const CancellationToken* cancel) {
   constexpr std::int64_t W = 2 * Rad + 1;
-
   const AcceleratorConfig& cfg = plan.config;
+  const BoundaryCondition& bc = args.boundary;
   const std::int64_t bx = cfg.bsize_x, by = cfg.bsize_y;
-  const std::int64_t nx = in.nx(), ny = in.ny(), nz = in.nz();
+  const std::int64_t nz = in.nz();
   const std::int64_t x0 = blk.x0, y0 = blk.y0;
   const std::int64_t prow = bx + 2 * Rad;
   const std::int64_t plane_cells = prow * (by + 2 * Rad);
+  const std::int64_t pad = Rad * prow + Rad;  // plane start -> (0, 0)
 
   KernelWorkspace& ws = tls_kernel_workspace();
-  const std::size_t slab =
+  const std::size_t windows =
       std::size_t(steps + 1) * std::size_t(W) * std::size_t(plane_cells);
-  float* base = ws.ensure(slab);
-  std::fill(base, base + slab, 0.0f);
+  float* base = ws.ensure(windows + std::size_t(plane_cells));
+  std::fill(base, base + windows, 0.0f);
+  // Dirichlet: every tap past the streamed edge reads this constant plane.
+  float* const ghost_plane = base + windows + pad;
+  if (bc.kind == BoundaryKind::dirichlet) {
+    std::fill(ghost_plane - pad, ghost_plane - pad + plane_cells, bc.value);
+  }
   const auto window = [&](int stage) {
     return PlanarShiftRegister<float>(
         base + std::size_t(stage) * W * plane_cells, W, plane_cells);
   };
-  // Block-local (0, y_rel) of the window plane holding stream plane `p`.
-  const auto content = [&](int stage, std::int64_t p, std::int64_t y_rel) {
-    return window(stage).plane(p) + (y_rel + Rad) * prow + Rad;
+  // Block-local (0, 0) of the window plane holding stream plane `p`.
+  const auto origin = [&](int stage, std::int64_t p) {
+    return window(stage).plane(p) + pad;
   };
 
-  const std::int64_t grid_lo = std::clamp<std::int64_t>(-x0, 0, bx);
-  const std::int64_t grid_hi = std::clamp<std::int64_t>(nx - x0, grid_lo, bx);
-
+  const AxisEdges ex = axis_edges(x0, in.nx(), bx);
+  const AxisEdges ey = axis_edges(y0, in.ny(), by);
   const std::int64_t halo = cfg.halo();
   const std::int64_t wx_lo = halo;
   const std::int64_t wx_hi =
@@ -324,65 +398,50 @@ void run_block(const BlockingPlan& plan, const BlockExtent& blk,
   const std::int64_t zmax = nz + std::int64_t(steps) * Rad;
   for (std::int64_t z = 0; z < zmax; ++z) {
     if (cancel) cancel->throw_if_cancelled();
-    // --- read: load input plane z (zero outside the grid) ---
-    for (std::int64_t y_rel = 0; y_rel < by; ++y_rel) {
-      float* row = content(0, z, y_rel);
-      const std::int64_t yg = y0 + y_rel;
-      if (z >= nz || yg < 0 || yg >= ny) {
-        std::fill(row, row + bx, 0.0f);
-        continue;
+    // --- read: load input plane z and fill its ghosts ---
+    if (z < nz && ex.hi > ex.lo && ey.hi > ey.lo) {
+      float* o = origin(0, z);
+      for (std::int64_t y_rel = ey.lo; y_rel < ey.hi; ++y_rel) {
+        float* row = o + y_rel * prow;
+        std::memcpy(row + ex.lo, &in.at(x0 + ex.lo, y0 + y_rel, z),
+                    std::size_t(ex.hi - ex.lo) * sizeof(float));
+        fill_row_ghosts<Rad>(row, ex, bc);
       }
-      std::fill(row, row + grid_lo, 0.0f);
-      if (grid_hi > grid_lo) {
-        std::memcpy(row + grid_lo, &in.at(x0 + grid_lo, yg, z),
-                    std::size_t(grid_hi - grid_lo) * sizeof(float));
-      }
-      std::fill(row + grid_hi, row + bx, 0.0f);
+      fill_plane_ghosts<Rad>(o, prow, ey, bc);
     }
 
     // --- update: stage-k planes that just became computable ---
     for (int k = 1; k <= steps; ++k) {
       const std::int64_t p = z - std::int64_t(k) * Rad;
       if (p < 0) break;
-      if (p >= nz) {  // off-grid center plane: zeros, overwriting the slot
-        for (std::int64_t y_rel = 0; y_rel < by; ++y_rel) {
-          float* row = content(k, p, y_rel);
-          std::fill(row, row + bx, 0.0f);
-        }
-        continue;
-      }
-      // z-clamped source planes of stage k-1; the window provably still
-      // holds every clamped index (clamping pulls toward the interior).
-      std::array<std::int64_t, W> zsel;
+      if (p >= nz) continue;  // off-grid center plane: never read
+      std::array<const float*, W> src;
       for (std::int64_t j = 0; j < W; ++j) {
-        zsel[std::size_t(j)] = clamp_index(p + j - Rad, 0, nz - 1);
+        const std::int64_t s = stream_source(bc, p + j - Rad, nz);
+        src[std::size_t(j)] = s < 0 ? ghost_plane : origin(k - 1, s);
       }
-      for (std::int64_t y_rel = 0; y_rel < by; ++y_rel) {
-        float* dst = content(k, p, y_rel);
-        const std::int64_t yg = y0 + y_rel;
-        if (yg < 0 || yg >= ny) {
-          std::fill(dst, dst + bx, 0.0f);
-          continue;
-        }
-        std::array<std::int64_t, W> ydel;
-        for (std::int64_t j = 0; j < W; ++j) {
-          ydel[std::size_t(j)] = clamp_index(yg + j - Rad, 0, ny - 1) - yg;
-        }
-        const float* rows[N];
-        for (int t = 0; t < N; ++t) {
-          rows[t] = content(k - 1, zsel[std::size_t(offs.dz[t] + Rad)],
-                            y_rel + ydel[std::size_t(offs.dy[t] + Rad)]);
-        }
-        compute_row<N, ParVec>(dst, bx, x0, nx, Rad, rows, offs.dx.data(), cf);
+      const float* tp[kMaxTableTaps];
+      for (int t = 0; t < taps.count; ++t) {
+        tp[t] = src[std::size_t(taps.dz[t] + Rad)] + taps.dy[t] * prow +
+                taps.dx[t];
       }
+      float* o = origin(k, p);
+      for (std::int64_t y_rel = ey.lo; y_rel < ey.hi; ++y_rel) {
+        float* dst = o + y_rel * prow;
+        compute_row<ParVec>(dst, ex.lo, ex.hi, tp, y_rel * prow, args.coeffs,
+                            taps.count);
+        fill_row_ghosts<Rad>(dst, ex, bc);
+      }
+      fill_plane_ghosts<Rad>(o, prow, ey, bc);
     }
 
     // --- write: retire the finished plane ---
     const std::int64_t pout = z - std::int64_t(steps) * Rad;
     if (pout < 0 || pout >= nz || wx_hi <= wx_lo) continue;
+    const float* o = origin(steps, pout);
     for (std::int64_t y_rel = wy_lo; y_rel < wy_hi; ++y_rel) {
       std::memcpy(&out.at(x0 + wx_lo, y0 + y_rel, pout),
-                  content(steps, pout, y_rel) + wx_lo,
+                  o + y_rel * prow + wx_lo,
                   std::size_t(wx_hi - wx_lo) * sizeof(float));
       stats.cells_written += wx_hi - wx_lo;
     }
@@ -398,10 +457,23 @@ void run_block(const BlockingPlan& plan, const BlockExtent& blk,
 template <StencilShape Shape, int Rad, int Dims, int ParVec>
 void run_specialized(const BlockingPlan& plan, const BlockExtent& blk,
                      const GridOf<Dims>& in, GridOf<Dims>& out, int steps,
-                     const float* coeffs, RunStats& stats,
+                     const KernelArgs& args, RunStats& stats,
                      const CancellationToken* cancel) {
-  kernels_detail::run_block<Shape, Rad, ParVec>(plan, blk, in, out, steps,
-                                                coeffs, stats, cancel);
+  using kernels_detail::TapView;
+  if constexpr (Shape == StencilShape::kTable) {
+    const KernelTapTable& t = *args.table;
+    const TapView<int> taps{int(t.dx.size()), t.dx.data(), t.dy.data(),
+                             t.dz.data()};
+    kernels_detail::run_block<Rad, ParVec>(plan, blk, in, out, steps, taps,
+                                           args, stats, cancel);
+  } else {
+    using Pattern = kernels_detail::TapPattern<Shape, Rad, Dims>;
+    constexpr auto& offs = Pattern::kOffsets;
+    const TapView<std::integral_constant<int, Pattern::kCount>> taps{
+        {}, offs.dx.data(), offs.dy.data(), offs.dz.data()};
+    kernels_detail::run_block<Rad, ParVec>(plan, blk, in, out, steps, taps,
+                                           args, stats, cancel);
+  }
 }
 
 }  // namespace fpga_stencil

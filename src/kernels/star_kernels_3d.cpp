@@ -7,7 +7,7 @@ namespace fpga_stencil {
 #define FPGASTENCIL_INSTANTIATE_KERNEL(SHAPE, RAD, DIMS, PARVEC)        \
   template void run_specialized<StencilShape::SHAPE, RAD, DIMS, PARVEC>( \
       const BlockingPlan&, const BlockExtent&, const GridOf<DIMS>&,     \
-      GridOf<DIMS>&, int, const float*, RunStats&,                      \
+      GridOf<DIMS>&, int, const KernelArgs&, RunStats&,                 \
       const CancellationToken*);
 
 FPGASTENCIL_FOR_EACH_RADIUS_PARVEC(FPGASTENCIL_INSTANTIATE_KERNEL, kStar, 3)

@@ -1,6 +1,8 @@
 #include "program/program_executor.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "common/cancellation.hpp"
@@ -98,28 +100,83 @@ ExecutionBackend ProgramExecutor::route(const CachedPlan& plan) const {
 
 namespace {
 
+/// `scratch` donates the executor's ping-pong storage; null leases it
+/// from the pool for the call.
 template <typename GridT>
 RunStats run_planned_impl(const ProgramExecutor::Services& services,
                           const TapSet& taps, const AcceleratorConfig& cfg,
                           ExecutionBackend backend, GridT& grid,
                           int iterations, const CancellationToken* token,
-                          const NodeRunOptions& opts) {
+                          const NodeRunOptions& opts,
+                          std::vector<float>* scratch = nullptr) {
   FPGASTENCIL_EXPECT(backend == ExecutionBackend::sync_sim ||
                          backend == ExecutionBackend::block_parallel,
                      "run_planned handles the single-board backends only");
-  BufferPool::Lease lease(*services.pool, grid.size());
+  std::optional<BufferPool::Lease> lease;
+  if (scratch == nullptr) {
+    lease.emplace(*services.pool, grid.size());
+    scratch = &lease->buffer();
+  }
   if (backend == ExecutionBackend::block_parallel) {
     RunOptions ropts;
     ropts.workers = services.workers;
     ropts.injector = opts.injector;
     ropts.watchdog_deadline = opts.watchdog_deadline;
-    ropts.scratch = &lease.buffer();
+    ropts.scratch = scratch;
     ropts.pool = services.pool;  // per-worker lane scratch
     if (token) ropts.cancel = *token;
     return run_block_parallel(taps, cfg, grid, iterations, ropts);
   }
   StencilAccelerator accel(taps, cfg);
-  return accel.run(grid, iterations, &lease.buffer(), token);
+  return accel.run(grid, iterations, scratch, token);
+}
+
+template <typename GridT>
+GridT field_grid(const FieldState& shape, std::vector<float> storage) {
+  if constexpr (std::is_same_v<GridT, Grid3D<float>>) {
+    return GridT(shape.nx, shape.ny, shape.nz, std::move(storage));
+  } else {
+    return GridT(shape.nx, shape.ny, std::move(storage));
+  }
+}
+
+/// Advances one node's input `src` (a field buffer) into `work`. The
+/// first pass streams straight out of `src`: its storage is lent to the
+/// executor's grid with `work` as the scratch side, so the input is
+/// never copied and comes back unmodified (a pass only reads its input),
+/// on unwind too. Passes after the first ping-pong between `work` and a
+/// pooled scratch lease.
+template <typename GridT>
+RunStats run_node(const ProgramExecutor::Services& services,
+                  const ResolvedNode& rn, int iterations,
+                  const FieldState& shape, std::vector<float>& src,
+                  std::vector<float>& work, const CancellationToken* token) {
+  if (iterations == 0) {  // the identity: the result is the input
+    std::copy(src.begin(), src.end(), work.begin());
+    return {};
+  }
+  const int first = std::min(iterations, rn.cfg.partime);
+  GridT grid = field_grid<GridT>(shape, std::move(src));
+  RunStats stats;
+  try {
+    stats = run_planned_impl(services, rn.taps, rn.cfg, rn.backend, grid,
+                             first, token, NodeRunOptions(), &work);
+  } catch (...) {
+    src = grid.release_storage();  // an aborted pass never wrote it
+    throw;
+  }
+  // The one pass swapped the sides: `work` holds the input, `grid` the
+  // result.
+  src = std::move(work);
+  work = grid.release_storage();
+  if (iterations > first) {
+    GridT rest = field_grid<GridT>(shape, std::move(work));
+    stats.accumulate(run_planned_impl(services, rn.taps, rn.cfg, rn.backend,
+                                      rest, iterations - first, token,
+                                      NodeRunOptions()));
+    work = rest.release_storage();
+  }
+  return stats;
 }
 
 }  // namespace
@@ -203,32 +260,26 @@ ProgramOutcome ProgramExecutor::run(const ProgramSpec& program,
       const ResolvedNode& rn = resolved[idx];
       FieldState& in = states[std::size_t(rn.in_field)];
       FieldState& dst = states[std::size_t(rn.out_field)];
-      const Tracer::Span span = tracer.span(span_base + node.name, worker_id,
-                                            services_.metrics_prefix);
-
-      // Copy the resolved input into a pooled grid and advance it.
-      BufferPool::Lease work(*services_.pool, std::size_t(in.cells));
-      const std::vector<float>& src =
-          (reads_back[idx] ? in.back : in.front)->buffer();
-      std::vector<float> storage = std::move(work.buffer());
-      storage.assign(src.begin(), src.end());
-      if (dims == 2) {
-        Grid2D<float> g(in.nx, in.ny, std::move(storage));
-        out.stats.accumulate(run_planned(rn.taps, rn.cfg, rn.backend, g,
-                                         node.iterations, token));
-        detail::combine_field(node.combine, dst.written,
-                              dst.front->buffer().data(), g.data(),
-                              dst.back->buffer().data(), dst.cells);
-        work.buffer() = g.release_storage();
-      } else {
-        Grid3D<float> g(in.nx, in.ny, in.nz, std::move(storage));
-        out.stats.accumulate(run_planned(rn.taps, rn.cfg, rn.backend, g,
-                                         node.iterations, token));
-        detail::combine_field(node.combine, dst.written,
-                              dst.front->buffer().data(), g.data(),
-                              dst.back->buffer().data(), dst.cells);
-        work.buffer() = g.release_storage();
+      // Hooked nodes only: the tracer keeps every event for its owner's
+      // lifetime.
+      Tracer::Span span;
+      if (rn.cfg.telemetry) {
+        span = tracer.span(span_base + node.name, worker_id,
+                           services_.metrics_prefix);
       }
+
+      // Advance the resolved input into a pooled work buffer.
+      BufferPool::Lease work(*services_.pool, std::size_t(in.cells));
+      std::vector<float>& src =
+          (reads_back[idx] ? in.back : in.front)->buffer();
+      out.stats.accumulate(
+          dims == 2 ? run_node<Grid2D<float>>(services_, rn, node.iterations,
+                                              in, src, work.buffer(), token)
+                    : run_node<Grid3D<float>>(services_, rn, node.iterations,
+                                              in, src, work.buffer(), token));
+      detail::combine_field(node.combine, dst.written,
+                            dst.front->buffer().data(), work.buffer().data(),
+                            dst.back->buffer().data(), dst.cells);
       dst.written = true;
       ++out.nodes_executed;
     }

@@ -13,10 +13,11 @@
 // Execution model: all node plans are resolved once up front (one
 // plan-cache lookup -- and hence at most one tuner probe and exactly one
 // tuner.cache_hit/miss tick -- per node per program run, regardless of
-// `steps`), then the per-timestep schedule loops: each node copies its
-// resolved input buffer into a pooled grid, advances it on its routed
-// backend, and combines the result into the output field's back buffer;
-// written fields swap at the end of the step. Every buffer is a
+// `steps`), then the per-timestep schedule loops: each node advances its
+// resolved input buffer into a pooled work buffer on its routed backend
+// (the first pass reads the field buffer in place, no copy), and
+// combines the result into the output field's back buffer; written
+// fields swap at the end of the step. Every buffer is a
 // BufferPool lease, so a program job leaks nothing even when a node
 // throws mid-step.
 #pragma once
@@ -113,7 +114,8 @@ class ProgramExecutor {
   /// Runs the whole program: validate, resolve every node plan once,
   /// execute `steps` timesteps in DAG order. Emits
   /// <prefix>.program.nodes_scheduled / <prefix>.program.steps counters
-  /// and a "<prefix>.program.node:<name>" span per node run
+  /// and, for nodes whose config carries a telemetry hook, a
+  /// "<prefix>.program.node:<name>" span per node run
   /// (docs/OBSERVABILITY.md). Throws ConfigError / CancelledError /
   /// DeadlineExceededError like any job body.
   ProgramOutcome run(const ProgramSpec& program,

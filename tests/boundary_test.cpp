@@ -1,12 +1,16 @@
 // Boundary-condition exactness sweep (docs/PROGRAMS.md): every
 // BoundaryCondition (clamp, periodic, reflective, dirichlet) x star/box
-// x 2D/3D x radius 1-4 must be bit-identical between the streaming
-// accelerator and the naive reference model -- on the synchronous
-// simulator AND the block-parallel backend, with partial edge blocks and
-// a partial temporal tail, so corners, edges, and halo exchanges all see
-// every boundary rule. A few analytic single-tap tests pin the absolute
-// semantics (what "mirror", "wrap", and "the dirichlet value" mean), not
-// just agreement between two implementations.
+// x 2D/3D x radius 1-4 x parvec {2, 4} must be bit-identical between the
+// streaming accelerator and the naive reference model -- on the
+// synchronous simulator AND the block-parallel backend, with partial edge
+// blocks and a partial temporal tail, so corners, edges, and halo
+// exchanges all see every boundary rule. Parvec 2 is off the kernel
+// envelope, so it checks the interpreter; parvec 4 runs the specialized
+// kernels' ghost-margin fill for clamp, reflective and dirichlet, and the
+// sweep asserts through telemetry which path each case dispatched to. A
+// few analytic single-tap tests pin the absolute semantics (what
+// "mirror", "wrap", and "the dirichlet value" mean), not just agreement
+// between two implementations.
 #include <gtest/gtest.h>
 
 #include "core/block_parallel_accelerator.hpp"
@@ -16,6 +20,7 @@
 #include "stencil/box_stencil.hpp"
 #include "stencil/reference.hpp"
 #include "stencil/star_stencil.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace fpga_stencil {
 namespace {
@@ -31,11 +36,11 @@ BoundaryCondition boundary_case(int i) {
 
 /// Small blocks: several blocks per dimension with partial edge blocks,
 /// so boundary handling is exercised per-block, not just per-grid.
-AcceleratorConfig sweep_config(int dims, int radius) {
+AcceleratorConfig sweep_config(int dims, int radius, int parvec) {
   AcceleratorConfig cfg;
   cfg.dims = dims;
   cfg.radius = radius;
-  cfg.parvec = 2;
+  cfg.parvec = parvec;
   cfg.partime = 2;
   cfg.bsize_x = 2 * cfg.partime * radius + 4;
   cfg.bsize_y = dims == 3 ? cfg.bsize_x : 1;
@@ -44,12 +49,15 @@ AcceleratorConfig sweep_config(int dims, int radius) {
 }
 
 class BoundarySweep
-    : public ::testing::TestWithParam<std::tuple<int, int, bool, int>> {};
+    : public ::testing::TestWithParam<std::tuple<int, int, bool, int, int>> {
+};
 
 TEST_P(BoundarySweep, AcceleratorMatchesReferenceBitExact) {
-  const auto [dims, radius, box, bc_index] = GetParam();
+  const auto [dims, radius, box, bc_index, parvec] = GetParam();
   const BoundaryCondition bc = boundary_case(bc_index);
-  const AcceleratorConfig cfg = sweep_config(dims, radius);
+  Telemetry tel;
+  AcceleratorConfig cfg = sweep_config(dims, radius, parvec);
+  cfg.telemetry = &tel;
   const TapSet taps =
       (box ? make_box_stencil(dims, radius, 31)
            : StarStencil::make_benchmark(dims, radius, 7).to_taps())
@@ -91,20 +99,37 @@ TEST_P(BoundarySweep, AcceleratorMatchesReferenceBitExact) {
         << "block_parallel 3D rad=" << radius << " box=" << box
         << " bc=" << boundary_kind_name(bc.kind);
   }
+
+  // Every non-periodic boundary at an envelope parvec runs on the
+  // kernels; periodic and parvec 2 stay on the interpreter.
+  const std::int64_t specialized =
+      tel.metrics().counter("kernels.dispatch_specialized").value();
+  const std::int64_t fallback =
+      tel.metrics().counter("kernels.dispatch_fallback").value();
+  if (parvec == 4 && bc.kind != BoundaryKind::periodic) {
+    EXPECT_GT(specialized, 0);
+    EXPECT_EQ(fallback, 0);
+  } else {
+    EXPECT_EQ(specialized, 0);
+    EXPECT_GT(fallback, 0);
+  }
 }
 
 std::string sweep_name(
-    const ::testing::TestParamInfo<std::tuple<int, int, bool, int>>& info) {
-  const auto [dims, radius, box, bc_index] = info.param;
+    const ::testing::TestParamInfo<std::tuple<int, int, bool, int, int>>&
+        info) {
+  const auto [dims, radius, box, bc_index, parvec] = info.param;
   return std::string(dims == 2 ? "d2" : "d3") + "r" + std::to_string(radius) +
          (box ? "box" : "star") +
-         boundary_kind_name(boundary_case(bc_index).kind);
+         boundary_kind_name(boundary_case(bc_index).kind) + "v" +
+         std::to_string(parvec);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllBoundaries, BoundarySweep,
     ::testing::Combine(::testing::Values(2, 3), ::testing::Range(1, 5),
-                       ::testing::Bool(), ::testing::Range(0, 4)),
+                       ::testing::Bool(), ::testing::Range(0, 4),
+                       ::testing::Values(2, 4)),
     sweep_name);
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include "stencil/box_stencil.hpp"
 #include "stencil/reference.hpp"
 #include "stencil/star_stencil.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace fpga_stencil {
 namespace {
@@ -595,6 +596,31 @@ TEST(EngineTelemetry, DistinctPrefixesDoNotCollideInOneRegistry) {
   EXPECT_EQ(snap.value_or("engine.shard1.jobs_completed", -1), 1);
   // Nothing leaked into the legacy shared name.
   EXPECT_EQ(snap.value_or("engine.jobs_completed", -1), -1);
+}
+
+TEST(EngineTelemetry, OnlyHookedJobsRecordJobSpans) {
+  // The tracer keeps every event for the engine's lifetime: untraced jobs
+  // must leave it empty, or a serving process grows without bound.
+  const TapSet taps = StarStencil::make_benchmark(2, 1, 5).to_taps();
+  StencilEngine engine({.workers = 1});
+  for (int i = 0; i < 16; ++i) {
+    JobSpec spec(taps, cfg2d(), grid2d(), 2);
+    spec.label = "plain";
+    (void)engine.run(std::move(spec));
+  }
+  EXPECT_EQ(engine.telemetry().tracer().event_count(), 0u);
+
+  Telemetry hook;
+  AcceleratorConfig traced_cfg = cfg2d();
+  traced_cfg.telemetry = &hook;
+  JobSpec traced(taps, traced_cfg, grid2d(), 2);
+  traced.label = "traced";
+  (void)engine.run(std::move(traced));
+  engine.wait_idle();  // the span closes after the result is delivered
+  const std::vector<std::string> names =
+      engine.telemetry().tracer().event_names();
+  EXPECT_EQ(std::count(names.begin(), names.end(), "engine.job:traced"), 1);
+  EXPECT_EQ(std::count(names.begin(), names.end(), "engine.job:plain"), 0);
 }
 
 TEST(EngineChunks, SinkReceivesOrderedBandsThatReassembleExactly) {

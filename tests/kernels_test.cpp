@@ -1,14 +1,17 @@
 // The specialized kernel subsystem's contract: every KernelRegistry entry
 // is bit-exact with the scalar interpreter (the semantic reference), the
-// registry matches exactly the canonical star/box envelope and nothing
-// else, off-envelope configurations fall back to the interpreter, and
-// dispatch is observable through telemetry and the plan cache.
+// registry gives canonical star/box orders their constexpr-table entries
+// and every other tap set a runtime table, off-envelope configurations
+// fall back to the interpreter, and dispatch is observable through
+// telemetry and the plan cache.
 //
 // The exactness sweep runs the whole envelope -- star/box x 2D/3D x
 // radius 1-4 x parvec {1,4,8,16} -- through StencilAccelerator twice
 // (dispatch on / forced interpreter) on grids chosen so every block shape
 // occurs: interior blocks, partial tail blocks in each blocked dimension,
-// and a tail pass with fewer steps than partime.
+// and a tail pass with fewer steps than partime. The runtime-table cases
+// run custom tap sets under every non-periodic boundary against the
+// reference model on sync and block-parallel.
 #include <gtest/gtest.h>
 
 #include "core/block_parallel_accelerator.hpp"
@@ -16,6 +19,7 @@
 #include "grid/grid_compare.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "stencil/box_stencil.hpp"
+#include "stencil/reference.hpp"
 #include "stencil/star_stencil.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -31,6 +35,12 @@ TapSet envelope_taps(StencilShape shape, int dims, int radius,
     return StarStencil::make_benchmark(dims, radius, seed).to_taps();
   }
   return make_box_stencil(dims, radius, seed);
+}
+
+/// The same taps in reverse order: a non-canonical set.
+TapSet reversed(const TapSet& taps) {
+  return TapSet(taps.dims(), taps.radius(),
+                {taps.taps().rbegin(), taps.taps().rend()});
 }
 
 /// Small config with every block-shape stress: bsize_x = 32 is a
@@ -99,8 +109,9 @@ void expect_stats_parity(const ExactnessResult& r, const std::string& label) {
 
 TEST(KernelRegistry, CoversExactlyTheEnvelope) {
   const KernelRegistry& reg = KernelRegistry::instance();
-  EXPECT_EQ(reg.entries().size(), 64u);
-  for (StencilShape shape : {StencilShape::kStar, StencilShape::kBox}) {
+  EXPECT_EQ(reg.entries().size(), 96u);
+  for (StencilShape shape :
+       {StencilShape::kStar, StencilShape::kBox, StencilShape::kTable}) {
     for (int dims : {2, 3}) {
       for (int rad : kRadii) {
         for (int pv : kParvecs) {
@@ -110,9 +121,10 @@ TEST(KernelRegistry, CoversExactlyTheEnvelope) {
           EXPECT_EQ(k->dims, dims);
           EXPECT_EQ(k->radius, rad);
           EXPECT_EQ(k->parvec, pv);
-          EXPECT_NE(dims == 2 ? (void*)k->run_2d : (void*)k->run_3d, nullptr);
+          EXPECT_NE(dims == 2 ? (void*)k->fn_2d : (void*)k->fn_3d, nullptr);
           EXPECT_NE(std::string(k->name).find(stencil_shape_name(shape)),
                     std::string::npos);
+          EXPECT_EQ(k->table, nullptr);  // families are unbound
         }
       }
     }
@@ -136,10 +148,31 @@ TEST(KernelRegistry, FindMatchesCanonicalOrdersOnly) {
       EXPECT_NE(reg.find(box, cfg), nullptr);
 
       // Same taps, reversed order: a different stencil bit-wise, so it
-      // must not match (the kernels hard-code the accumulation order).
-      std::vector<Tap> reversed(star.taps().rbegin(), star.taps().rend());
-      const TapSet custom(dims, rad, std::move(reversed));
-      EXPECT_EQ(reg.find(custom, cfg), nullptr);
+      // must never match a canonical entry (those hard-code the
+      // accumulation order); it resolves to the runtime-table family,
+      // bound to its own offsets once.
+      const TapSet custom = reversed(star);
+      const SpecializedKernel* k = reg.find(custom, cfg);
+      ASSERT_NE(k, nullptr);
+      EXPECT_EQ(k->shape, StencilShape::kTable);
+      EXPECT_EQ(k->dims, dims);
+      EXPECT_EQ(k->radius, rad);
+      EXPECT_NE(k, reg.find(star, cfg));
+      EXPECT_NE(k, reg.lookup(StencilShape::kTable, dims, rad, 4));
+      ASSERT_NE(k->table, nullptr);
+      ASSERT_EQ(k->table->dx.size(), custom.size());
+      EXPECT_EQ(k->table->dx.front(), custom.taps().front().dx);
+      EXPECT_EQ(reg.find(custom, cfg), k);
+
+      // Every boundary but periodic dispatches.
+      for (const BoundaryCondition bc :
+           {BoundaryCondition::reflective(), BoundaryCondition::dirichlet(1)}) {
+        EXPECT_EQ(reg.find(star.with_boundary(bc), cfg), reg.find(star, cfg));
+        EXPECT_EQ(reg.find(custom.with_boundary(bc), cfg), k);
+      }
+      const BoundaryCondition wrap = BoundaryCondition::periodic();
+      EXPECT_EQ(reg.find(star.with_boundary(wrap), cfg), nullptr);
+      EXPECT_EQ(reg.find(custom.with_boundary(wrap), cfg), nullptr);
     }
   }
 }
@@ -184,6 +217,131 @@ TEST(KernelDispatch, DeepTemporalChainAndPartialTail) {
   const TapSet taps = envelope_taps(StencilShape::kStar, 3, 4);
   const ExactnessResult r = run_both_3d(taps, cfg, 52, 40, 11, 6);
   expect_stats_parity(r, "star 3D r4 v8 partime4");
+}
+
+/// Runs `taps` over `base` on sync and block-parallel and expects the
+/// reference model's bits, with every block on a specialized kernel.
+template <typename GridT>
+void expect_kernels_match_reference(const TapSet& taps, AcceleratorConfig cfg,
+                                    int iters, GridT base,
+                                    const std::string& label) {
+  Telemetry tel;
+  cfg.telemetry = &tel;
+  base.fill_random(23, -1.0f, 1.0f);
+  GridT want = base;
+  reference_run(taps, want, iters);
+  GridT sync = base;
+  StencilAccelerator(taps, cfg).run(sync, iters);
+  const CompareResult s = compare_exact(sync, want);
+  EXPECT_TRUE(s.identical()) << label << " sync: " << s.summary();
+  GridT par = base;
+  RunOptions opts;
+  opts.workers = 3;
+  (void)run_block_parallel(taps, cfg, par, iters, opts);
+  const CompareResult p = compare_exact(par, want);
+  EXPECT_TRUE(p.identical()) << label << " block_parallel: " << p.summary();
+  EXPECT_GT(tel.metrics().counter("kernels.dispatch_specialized").value(), 0)
+      << label;
+  EXPECT_EQ(tel.metrics().counter("kernels.dispatch_fallback").value(), 0)
+      << label;
+}
+
+/// One runtime-table case on grids with ragged tails: no extent is a
+/// multiple of the block's compute size or of any envelope parvec.
+void expect_table_case(const TapSet& taps, const AcceleratorConfig& cfg,
+                       int iters, const std::string& label) {
+  ASSERT_EQ(KernelRegistry::instance().find(taps, cfg)->shape,
+            StencilShape::kTable)
+      << label;
+  if (cfg.dims == 2) {
+    expect_kernels_match_reference(taps, cfg, iters, Grid2D<float>(45, 23),
+                                   label);
+  } else {
+    expect_kernels_match_reference(taps, cfg, iters,
+                                   Grid3D<float>(45, 27, 9), label);
+  }
+}
+
+TEST(KernelDispatch, RuntimeTablesMatchReferenceOnEveryBoundary) {
+  const BoundaryCondition bcs[] = {BoundaryCondition::clamp(),
+                                   BoundaryCondition::reflective(),
+                                   BoundaryCondition::dirichlet(0.0f),
+                                   BoundaryCondition::dirichlet(0.75f)};
+  const auto pair = [](Tap a, Tap b) { return TapSet(2, 1, {a, b}); };
+  // The FDTD E/H curl halves, a 1-tap scale, and reversed stars.
+  const std::vector<std::pair<std::string, TapSet>> sets = {
+      {"fdtd_hx", pair({0, 0, 0, -0.5f}, {0, 1, 0, 0.5f})},
+      {"fdtd_hy", pair({0, 0, 0, 0.5f}, {1, 0, 0, -0.5f})},
+      {"fdtd_ez_x", pair({0, 0, 0, 0.5f}, {-1, 0, 0, -0.5f})},
+      {"fdtd_ez_y", pair({0, 0, 0, -0.5f}, {0, -1, 0, 0.5f})},
+      {"one_tap_3d", TapSet(3, 1, {Tap{0, 0, 0, -0.9375f}})},
+      {"reversed_star_2d_r2",
+       reversed(envelope_taps(StencilShape::kStar, 2, 2))},
+      {"reversed_star_3d_r3",
+       reversed(envelope_taps(StencilShape::kStar, 3, 3))},
+  };
+  for (const auto& [name, taps] : sets) {
+    for (const BoundaryCondition& bc : bcs) {
+      for (int pv : kParvecs) {
+        expect_table_case(taps.with_boundary(bc),
+                          envelope_config(taps.dims(), taps.radius(), pv), 3,
+                          name + " " + bc.describe() + " v" +
+                              std::to_string(pv));
+      }
+    }
+  }
+}
+
+TEST(KernelDispatch, RuntimeTableDeepChainRefillsGhostsPerStage) {
+  // partime 4 with iterations 6 (a full pass, then a 2-step tail): every
+  // stage's ghost margin must come from that stage's own values.
+  const TapSet taps = reversed(envelope_taps(StencilShape::kStar, 3, 2));
+  for (const BoundaryCondition& bc :
+       {BoundaryCondition::reflective(), BoundaryCondition::dirichlet(0.5f)}) {
+    AcceleratorConfig cfg = envelope_config(3, 2, 8, 4);
+    cfg.bsize_x = 40;
+    cfg.bsize_y = 2 * cfg.partime * cfg.radius + 3;
+    expect_table_case(taps.with_boundary(bc), cfg, 6,
+                      "reversed star 3D r2 v8 partime4 " + bc.describe());
+  }
+}
+
+TEST(KernelDispatch, DegenerateExtentsMatchReference) {
+  // Extents down to one cell (clamp, dirichlet) or radius + 1 (the
+  // reflective minimum): both edges' ghost margins land in one block and
+  // the stream-axis source table spans the whole grid.
+  for (int rad : kRadii) {
+    const TapSet star2 = envelope_taps(StencilShape::kStar, 2, rad);
+    const TapSet star3 = envelope_taps(StencilShape::kStar, 3, rad);
+    const std::int64_t m = rad + 1;
+    for (const BoundaryCondition& bc :
+         {BoundaryCondition::clamp(), BoundaryCondition::dirichlet(0.5f),
+          BoundaryCondition::reflective()}) {
+      const bool mirror = bc.kind == BoundaryKind::reflective;
+      const std::int64_t lo = mirror ? m : 1;
+      for (const TapSet& taps : {star2, reversed(star2)}) {
+        const std::string label = "2D r" + std::to_string(rad) + " " +
+                                  bc.describe() + " " +
+                                  std::to_string(taps.size()) + " taps";
+        const AcceleratorConfig cfg = envelope_config(2, rad, 4);
+        for (const auto& [nx, ny] :
+             {std::pair{lo, lo}, std::pair{lo, m + 6}, std::pair{m + 6, lo}}) {
+          expect_kernels_match_reference(taps.with_boundary(bc), cfg, 3,
+                                         Grid2D<float>(nx, ny), label);
+        }
+      }
+      for (const TapSet& taps : {star3, reversed(star3)}) {
+        const std::string label = "3D r" + std::to_string(rad) + " " +
+                                  bc.describe() + " " +
+                                  std::to_string(taps.size()) + " taps";
+        const AcceleratorConfig cfg = envelope_config(3, rad, 4);
+        expect_kernels_match_reference(taps.with_boundary(bc), cfg, 3,
+                                       Grid3D<float>(lo, lo, lo), label);
+        expect_kernels_match_reference(taps.with_boundary(bc), cfg, 3,
+                                       Grid3D<float>(m + 5, lo, m + 2), label);
+      }
+    }
+  }
 }
 
 TEST(KernelDispatch, OffEnvelopeFallsBackBitExact) {

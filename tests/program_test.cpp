@@ -7,6 +7,7 @@
 // stream through chunk sinks in declaration order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -21,6 +22,7 @@
 #include "program/program_reference.hpp"
 #include "program/program_spec.hpp"
 #include "stencil/star_stencil.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace fpga_stencil {
 namespace {
@@ -264,6 +266,48 @@ TEST(ProgramExecution, DampedWave3DWithMixedBoundaries) {
   EXPECT_EQ(engine.buffer_pool().outstanding(), 0);
 }
 
+TEST(ProgramExecution, FusedAndIdentityNodesOnKernelsStayExact) {
+  // Envelope parvec, so every node runs on the specialized kernels: a
+  // node fusing 3 iterations over partime 2 (the first pass streams from
+  // the field's buffer, the tail pass ping-pongs over scratch), and a
+  // 0-iteration node (a copy), on sync and block-parallel.
+  for (const Backend backend : {Backend::sync_sim, Backend::block_parallel}) {
+    ProgramSpec p = make_fdtd_program(37, 23, 3);
+    Telemetry hook;
+    for (KernelNode& node : p.nodes) {
+      node.config.parvec = 4;
+      node.config.partime = 2;
+      node.config.telemetry = &hook;
+    }
+    p.nodes[0].iterations = 3;
+    p.nodes[1].iterations = 0;
+    p.validate();
+    const auto want = reference_run_program(p);
+    StencilEngine engine({.workers = 1});
+    JobSpec spec(std::make_shared<const ProgramSpec>(std::move(p)));
+    spec.backend = backend;
+    spec.workers = 2;
+    JobResult r = engine.run(std::move(spec));
+    expect_fields_identical(r.fields, want);
+    EXPECT_GT(hook.metrics().counter("kernels.dispatch_specialized").value(),
+              0);
+    EXPECT_EQ(hook.metrics().counter("kernels.dispatch_fallback").value(), 0);
+    EXPECT_EQ(engine.buffer_pool().outstanding(), 0);
+  }
+}
+
+TEST(ProgramExecution, DeadlineMidRunLeavesLeasesBalanced) {
+  StencilEngine engine({.workers = 1});
+  JobSpec spec(
+      std::make_shared<const ProgramSpec>(make_fdtd_program(256, 192, 5000)));
+  spec.deadline = std::chrono::milliseconds(30);
+  JobHandle h = engine.submit(std::move(spec));
+  ASSERT_TRUE(h.wait_for(std::chrono::milliseconds(5000)));
+  EXPECT_EQ(h.status(), JobStatus::deadline_exceeded);
+  engine.wait_idle();
+  EXPECT_EQ(engine.buffer_pool().outstanding(), 0);
+}
+
 TEST(ProgramExecution, SingleStencilAdapterMatchesDirectRunBitExact) {
   const TapSet taps = StarStencil::make_benchmark(2, 2, 7).to_taps();
   const AcceleratorConfig cfg = base_config(2, 2);
@@ -399,6 +443,20 @@ TEST(ProgramMetrics, NodeAndStepCountersTick) {
   MetricsRegistry& m = engine.telemetry().metrics();
   EXPECT_EQ(m.counter("engine.program.nodes_scheduled").value(), 4 * 3);
   EXPECT_EQ(m.counter("engine.program.steps").value(), 3);
+  // Node and job spans are recorded for hooked programs only.
+  EXPECT_EQ(engine.telemetry().tracer().event_count(), 0u);
+  Telemetry hook;
+  ProgramSpec traced = make_fdtd_program(19, 9, 3);
+  for (KernelNode& node : traced.nodes) node.config.telemetry = &hook;
+  (void)engine.run(
+      JobSpec(std::make_shared<const ProgramSpec>(std::move(traced))));
+  engine.wait_idle();  // the job span closes after the result is delivered
+  const std::vector<std::string> names =
+      engine.telemetry().tracer().event_names();
+  EXPECT_EQ(std::count(names.begin(), names.end(),
+                       "engine.program.node:" + program->nodes[0].name),
+            3);
+  EXPECT_EQ(std::count(names.begin(), names.end(), "engine.job"), 1);
 }
 
 // ---------------------------------------------------------------------------

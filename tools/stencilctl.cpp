@@ -2609,16 +2609,22 @@ int cmd_program(const Args& a) {
   copts.engine.workers = static_cast<int>(a.get("workers", 4));
   EngineCluster cluster(copts);
 
+  // Every node carries a telemetry hook, so the campaigns also guard the
+  // kernel envelope: all their boundaries (clamp, reflective, dirichlet)
+  // must dispatch to specialized kernels, never the interpreter.
+  Telemetry dispatch;
+  const auto hooked = [&](ProgramSpec p) {
+    for (KernelNode& node : p.nodes) node.config.telemetry = &dispatch;
+    return std::make_shared<const ProgramSpec>(std::move(p));
+  };
   std::vector<ProgramCampaignRow> rows;
   rows.push_back(run_program_campaign(
       cluster, "fdtd2d",
-      std::make_shared<const ProgramSpec>(
-          make_fdtd2d_program(n2d, (n2d * 3) / 4, steps))));
+      hooked(make_fdtd2d_program(n2d, (n2d * 3) / 4, steps))));
   rows.push_back(run_program_campaign(
       cluster, "wave3d",
-      std::make_shared<const ProgramSpec>(
-          make_wave3d_program(n3d, n3d, std::max<std::int64_t>(n3d / 2, 8),
-                              steps3d))));
+      hooked(make_wave3d_program(n3d, n3d, std::max<std::int64_t>(n3d / 2, 8),
+                                 steps3d))));
 
   cluster.wait_idle();
   std::int64_t leaked = 0;
@@ -2647,6 +2653,13 @@ int cmd_program(const Args& a) {
   t.render(std::cout);
   std::cout << (leaked == 0 ? "zero leaked pool leases\n"
                             : "LEAKED POOL LEASES\n");
+  const std::int64_t specialized =
+      dispatch.metrics().counter("kernels.dispatch_specialized").value();
+  const std::int64_t fallback =
+      dispatch.metrics().counter("kernels.dispatch_fallback").value();
+  std::cout << "kernel dispatch: " << specialized << " specialized, "
+            << fallback << " interpreter fallback\n";
+  ok = ok && specialized > 0 && fallback == 0;
 
   const std::string json_path = a.get_str("json", "");
   if (!json_path.empty()) {
