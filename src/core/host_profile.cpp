@@ -9,6 +9,7 @@
 #endif
 
 #include "common/json.hpp"
+#include "kernels/kernel_registry.hpp"
 
 namespace fpga_stencil {
 namespace {
@@ -81,9 +82,7 @@ HostProfile detect() {
   if (p.llc_bytes <= 0) p.llc_bytes = 8 * 1024 * 1024;
   if (p.llc_bytes < p.l2_bytes) p.llc_bytes = p.l2_bytes;
 
-#if defined(FPGASTENCIL_HOST_NATIVE_ARCH)
-  p.native_arch = true;
-#endif
+  p.kernel_isa = kernel_isa_name(KernelRegistry::instance().isa());
 
 #if defined(__clang__)
   p.compiler = std::string("clang ") + std::to_string(__clang_major__) + "." +
@@ -105,7 +104,7 @@ std::string HostProfile::fingerprint() const {
   std::ostringstream os;
   os << "c" << cores << "-l1:" << l1_bytes / 1024 << "k-l2:" << l2_bytes / 1024
      << "k-llc:" << llc_bytes / 1024 << "k-"
-     << (native_arch ? "native" : "portable") << "-";
+     << kernel_isa << "-";
   for (const char c : compiler) os << (c == ' ' ? '_' : c);
   return os.str();
 }
@@ -122,7 +121,7 @@ void write_host_profile(JsonWriter& w) {
   w.key("l1_kib").value(p.l1_bytes / 1024);
   w.key("l2_kib").value(p.l2_bytes / 1024);
   w.key("llc_kib").value(p.llc_bytes / 1024);
-  w.key("native_arch").value(p.native_arch);
+  w.key("kernel_isa").value(p.kernel_isa);
   w.key("compiler").value(p.compiler);
   w.key("fingerprint").value(p.fingerprint());
   w.end_object();

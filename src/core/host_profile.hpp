@@ -1,6 +1,6 @@
 // The execution host, as the autotuner and bench artifacts see it: core
-// count, cache hierarchy sizes, and the toolchain/arch flags that change
-// generated code. The fingerprint keys TuningCache entries (a tuned plan
+// count, cache hierarchy sizes, the instruction set the specialized
+// kernels run, and the compiler. The fingerprint keys TuningCache entries (a tuned plan
 // is a fact about one machine + one build) and stamps every BENCH_*.json
 // so cross-host numbers are comparable.
 #pragma once
@@ -17,10 +17,10 @@ struct HostProfile {
   std::int64_t l1_bytes = 0;    ///< per-core L1 data cache
   std::int64_t l2_bytes = 0;    ///< per-core (or per-cluster) L2
   std::int64_t llc_bytes = 0;   ///< last-level cache (L3, or L2 when no L3)
-  bool native_arch = false;     ///< built with FPGASTENCIL_NATIVE_ARCH
+  std::string kernel_isa;       ///< the KernelRegistry's pick, e.g. "avx2"
   std::string compiler;         ///< e.g. "gcc 13.2.0"
 
-  /// Stable identity string, e.g. "c8-l1:32k-l2:512k-llc:16384k-portable-
+  /// Stable identity string, e.g. "c8-l1:32k-l2:512k-llc:16384k-avx2-
   /// gcc_13.2.0". Two hosts (or two builds) with equal fingerprints may
   /// share tuned plans; anything else invalidates them.
   [[nodiscard]] std::string fingerprint() const;
@@ -31,7 +31,7 @@ struct HostProfile {
 /// them) and cached for the process lifetime.
 const HostProfile& host_profile();
 
-/// Emits `"host": {...}` (cores, cache sizes, native_arch, compiler,
+/// Emits `"host": {...}` (cores, cache sizes, kernel_isa, compiler,
 /// fingerprint) into an open JSON object -- the block every BENCH_*.json
 /// exporter records since schema_version 2.
 void write_host_profile(JsonWriter& w);

@@ -12,7 +12,58 @@ void fnv_mix(std::uint64_t& h, std::uint64_t value) {
   h *= 1099511628211ull;
 }
 
+template <StencilShape Shape, int Rad, int Dims, int ParVec>
+void set_entry_points(SpecializedKernel& k, KernelIsa isa) {
+  constexpr KernelIsa kAvx2 = KernelIsa::kAvx2;
+  constexpr KernelIsa kBase = KernelIsa::kBaseline;
+  if constexpr (Dims == 2) {
+    k.fn_2d = isa == kAvx2 ? &run_specialized<Shape, Rad, 2, ParVec, kAvx2>
+                           : &run_specialized<Shape, Rad, 2, ParVec, kBase>;
+  } else {
+    k.fn_3d = isa == kAvx2 ? &run_specialized<Shape, Rad, 3, ParVec, kAvx2>
+                           : &run_specialized<Shape, Rad, 3, ParVec, kBase>;
+  }
+}
+
 }  // namespace
+
+const char* kernel_isa_name(KernelIsa isa) {
+  if (isa == KernelIsa::kAvx2) return "avx2";
+#if defined(__x86_64__)
+  return "x86-64";
+#else
+  return "baseline";
+#endif
+}
+
+bool cpu_supports(KernelIsa isa) {
+  if (isa == KernelIsa::kBaseline) return true;
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+SpecializedKernel kernels_detail::with_isa(SpecializedKernel k,
+                                           KernelIsa isa) {
+#define FPGASTENCIL_SET_ENTRY_POINTS(SHAPE, RAD, DIMS, PARVEC)             \
+  if (k.shape == StencilShape::SHAPE && k.radius == RAD && k.dims == DIMS && \
+      k.parvec == PARVEC) {                                                \
+    set_entry_points<StencilShape::SHAPE, RAD, DIMS, PARVEC>(k, isa);      \
+    return k;                                                              \
+  }
+  FPGASTENCIL_FOR_EACH_RADIUS_PARVEC(FPGASTENCIL_SET_ENTRY_POINTS, kStar, 2)
+  FPGASTENCIL_FOR_EACH_RADIUS_PARVEC(FPGASTENCIL_SET_ENTRY_POINTS, kStar, 3)
+  FPGASTENCIL_FOR_EACH_RADIUS_PARVEC(FPGASTENCIL_SET_ENTRY_POINTS, kBox, 2)
+  FPGASTENCIL_FOR_EACH_RADIUS_PARVEC(FPGASTENCIL_SET_ENTRY_POINTS, kBox, 3)
+  FPGASTENCIL_FOR_EACH_RADIUS_PARVEC(FPGASTENCIL_SET_ENTRY_POINTS, kTable, 2)
+  FPGASTENCIL_FOR_EACH_RADIUS_PARVEC(FPGASTENCIL_SET_ENTRY_POINTS, kTable, 3)
+#undef FPGASTENCIL_SET_ENTRY_POINTS
+  FPGASTENCIL_EXPECT(false, "with_isa: not an envelope point");
+  return k;
+}
 
 bool matches_canonical_star(const TapSet& taps) {
   const int dims = taps.dims();
@@ -83,25 +134,20 @@ void SpecializedKernel::run_3d(const BlockingPlan& plan,
   fn_3d(plan, blk, in, out, steps, args(coeffs, bc), stats, cancel);
 }
 
-template <StencilShape Shape, int Rad, int Dims, int ParVec>
-void KernelRegistry::add_entry() {
+void KernelRegistry::add_entry(StencilShape shape, int dims, int radius,
+                               int parvec) {
   SpecializedKernel k;
-  k.shape = Shape;
-  k.dims = Dims;
-  k.radius = Rad;
-  k.parvec = ParVec;
-  if constexpr (Dims == 2) {
-    k.fn_2d = &run_specialized<Shape, Rad, 2, ParVec>;
-  } else {
-    k.fn_3d = &run_specialized<Shape, Rad, 3, ParVec>;
-  }
+  k.shape = shape;
+  k.dims = dims;
+  k.radius = radius;
+  k.parvec = parvec;
   // names_ is reserved to the envelope size up front, so the c_str()
   // stays stable for the registry's (process) lifetime.
-  names_.push_back(std::string(stencil_shape_name(Shape)) + "_" +
-                   std::to_string(Dims) + "d_r" + std::to_string(Rad) + "_v" +
-                   std::to_string(ParVec));
+  names_.push_back(std::string(stencil_shape_name(shape)) + "_" +
+                   std::to_string(dims) + "d_r" + std::to_string(radius) +
+                   "_v" + std::to_string(parvec));
   k.name = names_.back().c_str();
-  entries_.push_back(k);
+  entries_.push_back(kernels_detail::with_isa(k, isa_));
 }
 
 KernelRegistry::KernelRegistry() {
@@ -109,7 +155,7 @@ KernelRegistry::KernelRegistry() {
   entries_.reserve(kEnvelopePoints);
   names_.reserve(kEnvelopePoints);
 #define FPGASTENCIL_REGISTER_KERNEL(SHAPE, RAD, DIMS, PARVEC) \
-  add_entry<StencilShape::SHAPE, RAD, DIMS, PARVEC>();
+  add_entry(StencilShape::SHAPE, DIMS, RAD, PARVEC);
   FPGASTENCIL_FOR_EACH_RADIUS_PARVEC(FPGASTENCIL_REGISTER_KERNEL, kStar, 2)
   FPGASTENCIL_FOR_EACH_RADIUS_PARVEC(FPGASTENCIL_REGISTER_KERNEL, kStar, 3)
   FPGASTENCIL_FOR_EACH_RADIUS_PARVEC(FPGASTENCIL_REGISTER_KERNEL, kBox, 2)

@@ -28,9 +28,17 @@
 // the full tap fingerprint and caches the resolved `SpecializedKernel*`
 // alongside the BlockingPlan.
 //
+// The registry also picks the instruction set once, when it is built:
+// every entry point is the AVX2 instantiation when the CPU supports AVX2,
+// the baseline x86-64 one otherwise (and on every other target). Both
+// compute the same bits, so the choice only changes speed; the host
+// profile records it (HostProfile::kernel_isa) and tuned plans are keyed
+// by it.
+//
 // Every kernel is bit-exact with the interpreter by construction (same
 // boundary values, same per-cell accumulation order; see docs/KERNELS.md)
-// and tests/kernels_test.cpp verifies each entry exhaustively.
+// and tests/kernels_test.cpp verifies each entry on each ISA the CPU
+// supports.
 #pragma once
 
 #include <cstdint>
@@ -88,6 +96,10 @@ struct SpecializedKernel {
 /// emits.
 [[nodiscard]] bool matches_canonical_box(const TapSet& taps);
 
+/// True when this CPU runs code compiled for `isa` (kAvx2: an x86-64 CPU
+/// and OS with AVX2 enabled).
+[[nodiscard]] bool cpu_supports(KernelIsa isa);
+
 class KernelRegistry {
  public:
   /// Distinct runtime tables interned before find() stops binding new
@@ -119,11 +131,13 @@ class KernelRegistry {
     return entries_;
   }
 
+  /// The ISA every entry point runs: the widest one cpu_supports().
+  [[nodiscard]] KernelIsa isa() const { return isa_; }
+
  private:
   KernelRegistry();
 
-  template <StencilShape Shape, int Rad, int Dims, int ParVec>
-  void add_entry();
+  void add_entry(StencilShape shape, int dims, int radius, int parvec);
 
   /// The family bound to `taps`' offsets, interned on first use.
   const SpecializedKernel* bind(const SpecializedKernel& family,
@@ -134,11 +148,21 @@ class KernelRegistry {
     KernelTapTable table;
   };
 
+  KernelIsa isa_ = cpu_supports(KernelIsa::kAvx2) ? KernelIsa::kAvx2
+                                                  : KernelIsa::kBaseline;
   std::vector<SpecializedKernel> entries_;
   std::vector<std::string> names_;  ///< owns SpecializedKernel::name storage
   mutable std::mutex bound_mu_;     ///< guards bound_
   mutable std::unordered_multimap<std::uint64_t, std::unique_ptr<Bound>>
       bound_;  ///< keyed by a hash of (family, offsets)
 };
+
+namespace kernels_detail {
+
+/// `k` (an entry, bound or not) with the entry points of `isa` instead of
+/// the registry's pick: lets tests run every ISA the CPU supports.
+[[nodiscard]] SpecializedKernel with_isa(SpecializedKernel k, KernelIsa isa);
+
+}  // namespace kernels_detail
 
 }  // namespace fpga_stencil

@@ -1,14 +1,14 @@
-// `run_specialized<Shape, Rad, Dims, ParVec>`: one overlapped block pass,
-// with the tap table, radius, dimensionality, and vector width baked in
-// at compile time.
+// `run_specialized<Shape, Rad, Dims, ParVec, Isa>`: one overlapped block
+// pass, with the tap table, radius, dimensionality, vector width and
+// instruction set baked in at compile time.
 //
 // This is the host-side analogue of the paper's synthesized pipeline. The
 // scalar interpreter (`stream_block_generic`) walks a ring-buffer shift
 // register cell by cell with per-tap bounds checks; a specialized kernel
 // instead keeps a structure-of-arrays rolling window of planes (3D) /
 // rows (2D) per temporal stage (PlanarShiftRegister) and updates each
-// output row with tap-outer / lane-inner loops whose lane count is
-// constexpr, so the compiler fully vectorizes them.
+// output row in ParVec-wide chunks whose lanes live in native-width
+// vector registers.
 //
 // Tap tables come in two kinds. The canonical star and box orders are
 // constexpr tables (Shape kStar / kBox): their tap loops have constexpr
@@ -17,15 +17,22 @@
 // ghost-margin fill (clamp, reflective, dirichlet; see
 // run_specialized_impl.hpp), so no tap loop carries a border branch.
 //
-// Bit-exactness contract (verified per entry by tests/kernels_test.cpp
-// and per boundary by tests/boundary_test.cpp): for every cell the
-// accumulation is `acc = c[0]*tap0; acc += c[t]*tapt` in the tap set's
-// order, each out-of-grid tap reading exactly the value the interpreter's
-// border select-chain picks. The only intentional divergence is in cells
-// no valid output can observe: block-edge lanes within `radius` of the
-// block boundary in computed stages read wrapped shift-register rows in
-// the interpreter; the specialized kernels read padding there (see
-// docs/KERNELS.md for the influence-cone argument that this is sound).
+// Every envelope point is instantiated once per KernelIsa, and the
+// KernelRegistry picks the widest ISA the CPU supports when it is built.
+// Neither ISA fuses multiply+add (the library builds with
+// -ffp-contract=off and AVX2 does not imply FMA), and IEEE single-
+// precision mul and add round identically at any vector width, so both
+// compute the same bits.
+//
+// Bit-exactness contract (verified per entry and ISA by
+// tests/kernels_test.cpp and per boundary by tests/boundary_test.cpp):
+// for every cell the accumulation is `acc = c[0]*tap0; acc += c[t]*tapt`
+// in the tap set's order, each out-of-grid tap reading exactly the value
+// the interpreter's border select-chain picks. Cells no valid output can
+// observe are don't-care: a stage computes only the influence cone of
+// the block's retired region, and block-edge lanes read padding where the
+// interpreter reads wrapped shift-register rows (see docs/KERNELS.md for
+// the influence-cone argument that this is sound).
 //
 // Instantiations for the supported envelope live in star_kernels_*.cpp /
 // box_kernels_*.cpp / table_kernels_*.cpp and are reachable through the
@@ -73,6 +80,14 @@ struct KernelTapTable {
   std::vector<int> dx, dy, dz;
 };
 
+/// The instruction set a kernel's row loop is compiled for: baseline
+/// x86-64 (4-lane SSE vectors; the plain build on other targets) or AVX2
+/// (8-lane vectors, x86-64 only).
+enum class KernelIsa { kBaseline, kAvx2 };
+
+/// "x86-64" ("baseline" on other targets) or "avx2".
+[[nodiscard]] const char* kernel_isa_name(KernelIsa isa);
+
 /// What a kernel reads besides the grids.
 struct KernelArgs {
   const float* coeffs = nullptr;          ///< one per tap, accumulation order
@@ -90,8 +105,8 @@ using GridOf = std::conditional_t<Dims == 3, Grid3D<float>, Grid2D<float>>;
 /// `cancel` token is polled once per streamed plane/row -- at least as
 /// often as the interpreter's one-block-time cancellation bound requires.
 /// A periodic boundary is a precondition violation (the registry never
-/// resolves one to a kernel).
-template <StencilShape Shape, int Rad, int Dims, int ParVec>
+/// resolves one to a kernel), and so is an `Isa` the CPU lacks.
+template <StencilShape Shape, int Rad, int Dims, int ParVec, KernelIsa Isa>
 void run_specialized(const BlockingPlan& plan, const BlockExtent& blk,
                      const GridOf<Dims>& in, GridOf<Dims>& out, int steps,
                      const KernelArgs& args, RunStats& stats,
@@ -126,12 +141,18 @@ using SpecializedKernel3DFn = void (*)(const BlockingPlan&, const BlockExtent&,
   X(SHAPE, 4, DIMS, 8)                                     \
   X(SHAPE, 4, DIMS, 16)
 
-#define FPGASTENCIL_EXTERN_KERNEL(SHAPE, RAD, DIMS, PARVEC)             \
-  extern template void                                                  \
-  run_specialized<StencilShape::SHAPE, RAD, DIMS, PARVEC>(              \
-      const BlockingPlan&, const BlockExtent&, const GridOf<DIMS>&,     \
-      GridOf<DIMS>&, int, const KernelArgs&, RunStats&,                 \
+/// `template void run_specialized<...>(...);` for one envelope point and
+/// ISA: `extern` below, bare in the instantiation TUs.
+#define FPGASTENCIL_KERNEL_INSTANCE(SHAPE, RAD, DIMS, PARVEC, ISA)         \
+  template void run_specialized<StencilShape::SHAPE, RAD, DIMS, PARVEC,    \
+                                KernelIsa::ISA>(                           \
+      const BlockingPlan&, const BlockExtent&, const GridOf<DIMS>&,        \
+      GridOf<DIMS>&, int, const KernelArgs&, RunStats&,                    \
       const CancellationToken*);
+
+#define FPGASTENCIL_EXTERN_KERNEL(SHAPE, RAD, DIMS, PARVEC)                \
+  extern FPGASTENCIL_KERNEL_INSTANCE(SHAPE, RAD, DIMS, PARVEC, kBaseline) \
+  extern FPGASTENCIL_KERNEL_INSTANCE(SHAPE, RAD, DIMS, PARVEC, kAvx2)
 
 FPGASTENCIL_FOR_EACH_RADIUS_PARVEC(FPGASTENCIL_EXTERN_KERNEL, kStar, 2)
 FPGASTENCIL_FOR_EACH_RADIUS_PARVEC(FPGASTENCIL_EXTERN_KERNEL, kStar, 3)

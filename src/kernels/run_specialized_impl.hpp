@@ -28,10 +28,15 @@
 // are computed. The tap table is a run_block parameter: the canonical
 // star/box tables are constexpr (constexpr tap trip counts), any other
 // tap set passes a runtime table through the same body. Rows run in
-// ParVec-wide chunks with tap-outer/lane-inner loops whose lane count is
-// constexpr, then a scalar remainder; each lane carries an independent
-// dependency chain in the interpreter's op order, so vectorization
-// cannot change results.
+// ParVec-wide chunks, then a scalar remainder. A chunk's lanes live in
+// ParVec / Lanes GCC vectors of the ISA's native width (Lanes = 4 on
+// baseline x86-64, 8 under AVX2), each stored on its own so none spills;
+// each lane carries an independent dependency chain in the interpreter's
+// op order, and mul and add round separately (-ffp-contract=off, no FMA
+// in either ISA), so the vector width cannot change results. The whole
+// block pass, this one compute_row body included, is compiled once per
+// KernelIsa (run_block_for); the registry picks the instantiation when
+// it is built, so nothing branches or crosses ISAs per row.
 //
 // ## Boundaries: ghost margins, refilled per stage
 //
@@ -55,27 +60,32 @@
 // the wrapped planes at z = 0 and wrapped columns live in other blocks,
 // so they keep the interpreter's wrap-extended stream (block_streamer).
 //
-// ## Why block-edge divergence is sound (influence cone)
+// ## Influence cone: what a stage computes, and why the rest is don't-care
 //
-// Block edges inside the grid keep their padding, so a computed cell near
-// the block edge may read padding where the interpreter's ring reads
-// wrapped rows. Neither value can reach a valid output: by induction, the
-// stage-k cells any retired cell depends on lie within halo -
-// (steps - k)*Rad .. halo + csize + (steps - k)*Rad of the block-local
-// blocked axes (each stage widens the cone by at most Rad; a ghost read
-// at a grid edge resolves to a cell at most Rad further inward, which is
-// inside the previous stage's cone), which for k >= 1 stays at least Rad
-// away from the block edge since halo = partime*radius >= steps*Rad. All
-// cells inside that cone are computed from genuinely loaded input with
-// the exact interpreter arithmetic; everything outside is don't-care for
-// both implementations. tests/kernels_test.cpp verifies the retired
-// output bit-for-bit against the interpreter for every envelope entry.
+// By induction, the stage-k cells any retired cell depends on lie within
+// [w_lo - (steps - k)*Rad, w_hi + (steps - k)*Rad) of each blocked axis,
+// where [w_lo, w_hi) is the block's retired region: each stage widens the
+// cone by at most Rad, and a ghost read at a grid edge resolves to a cell
+// at most Rad further inward, which is inside the previous stage's cone.
+// So stage k computes only that span, clipped to the in-grid cells (x is
+// widened to whole ParVec chunks inside the in-grid span, so no chunk is
+// split into a scalar tail; y rows are not widened), and stage `steps`
+// computes just the retired region. Every cell inside the cone is
+// computed from genuinely loaded input with the exact interpreter
+// arithmetic; everything outside -- stale window values, the zeroed
+// padding at block edges inside the grid where the interpreter's ring
+// reads wrapped rows -- is don't-care for both implementations. The cone
+// stays at least Rad inside the block edge for k >= 1 since
+// halo = partime*radius >= steps*Rad. tests/kernels_test.cpp verifies the
+// retired output bit-for-bit against the interpreter for every envelope
+// entry on every ISA the CPU supports.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstring>
 #include <type_traits>
+#include <vector>
 
 #include "common/cancellation.hpp"
 #include "common/math_util.hpp"
@@ -84,16 +94,6 @@
 #include "kernels/kernel_workspace.hpp"
 #include "kernels/run_specialized.hpp"
 #include "pipeline/shift_register.hpp"
-
-// The lane loops vectorize at -O3 as-is (constexpr trip count, no
-// cross-lane dependencies); FPGASTENCIL_NATIVE_ARCH additionally compiles
-// this library with -fopenmp-simd and defines FPGASTENCIL_OMP_SIMD so the
-// pragma asserts the independence explicitly.
-#if defined(FPGASTENCIL_OMP_SIMD)
-#define FPGASTENCIL_SIMD_LOOP _Pragma("omp simd")
-#else
-#define FPGASTENCIL_SIMD_LOOP
-#endif
 
 namespace fpga_stencil {
 namespace kernels_detail {
@@ -161,25 +161,53 @@ struct TapView {
   const int* dz;
 };
 
+/// `Lanes` floats in one register: a GCC vector, or a plain float.
+template <int Lanes>
+struct LaneVec {
+  using type = float;
+};
+template <>
+struct LaneVec<4> {
+  typedef float type __attribute__((vector_size(16)));
+};
+template <>
+struct LaneVec<8> {
+  typedef float type __attribute__((vector_size(32)));
+};
+
 /// Cells [lo, hi) of one output row: `taps[t] + off` points at block-local
-/// x == 0 of tap t's source row, already shifted by the tap's dx.
-template <int ParVec, typename Count>
-inline void compute_row(float* dst, std::int64_t lo, std::int64_t hi,
-                        const float* const* taps, std::int64_t off,
-                        const float* cf, Count n) {
+/// x == 0 of tap t's source row, already shifted by the tap's dx. Each
+/// ParVec chunk accumulates in ParVec / Lanes registers. Always inlined,
+/// so it compiles for the ISA of the block pass it sits in.
+template <int Lanes, int ParVec, typename Count>
+[[gnu::always_inline]] inline void compute_row(float* dst, std::int64_t lo,
+                                               std::int64_t hi,
+                                               const float* const* taps,
+                                               std::int64_t off,
+                                               const float* cf, Count n) {
+  using V = typename LaneVec<Lanes>::type;
+  constexpr int kRegs = ParVec / Lanes;
+  static_assert(kRegs * Lanes == ParVec && sizeof(V) == Lanes * sizeof(float));
   std::int64_t x = lo;
   for (; x + ParVec <= hi; x += ParVec) {
-    float acc[ParVec];
-    const float* r0 = taps[0] + off + x;
-    FPGASTENCIL_SIMD_LOOP
-    for (int l = 0; l < ParVec; ++l) acc[l] = cf[0] * r0[l];
+    V acc[kRegs];
+    for (int v = 0; v < kRegs; ++v) {
+      V t0;
+      std::memcpy(&t0, taps[0] + off + x + v * Lanes, sizeof(V));
+      acc[v] = cf[0] * t0;
+    }
     for (int t = 1; t < n; ++t) {
       const float* rt = taps[t] + off + x;
       const float ct = cf[t];
-      FPGASTENCIL_SIMD_LOOP
-      for (int l = 0; l < ParVec; ++l) acc[l] += ct * rt[l];
+      for (int v = 0; v < kRegs; ++v) {
+        V tt;
+        std::memcpy(&tt, rt + v * Lanes, sizeof(V));
+        acc[v] += ct * tt;
+      }
     }
-    for (int l = 0; l < ParVec; ++l) dst[x + l] = acc[l];
+    for (int v = 0; v < kRegs; ++v) {
+      std::memcpy(dst + x + v * Lanes, &acc[v], sizeof(V));
+    }
   }
   for (; x < hi; ++x) {  // chunk remainder: the same op sequence, scalar
     float acc = cf[0] * taps[0][off + x];
@@ -205,6 +233,27 @@ inline AxisEdges axis_edges(std::int64_t origin, std::int64_t n,
   e.has_lo = e.hi > e.lo && origin <= 0;
   e.has_hi = e.hi > e.lo && n - origin <= b;
   return e;
+}
+
+/// Cells [lo, hi) of one blocked axis.
+struct Span {
+  std::int64_t lo = 0, hi = 0;
+};
+
+/// The stage cells a retired span [w_lo, w_hi) depends on, `reach` =
+/// (steps - k)*Rad stages out, clipped to the in-grid cells.
+inline Span cone(std::int64_t w_lo, std::int64_t w_hi, std::int64_t reach,
+                 const AxisEdges& e) {
+  return {std::max(e.lo, w_lo - reach), std::min(e.hi, w_hi + reach)};
+}
+
+/// `s` widened to whole ParVec chunks without leaving the in-grid cells.
+template <int ParVec>
+inline Span whole_chunks(Span s, const AxisEdges& e) {
+  if (s.hi <= s.lo) return s;
+  const std::int64_t len = round_up<std::int64_t>(s.hi - s.lo, ParVec);
+  if (s.lo + len <= e.hi) return {s.lo, s.lo + len};
+  return {std::max(e.lo, e.hi - len), e.hi};
 }
 
 /// Block-local cell a clamp or reflective ghost at `g` copies.
@@ -268,11 +317,12 @@ inline std::int64_t stream_source(const BoundaryCondition& bc, std::int64_t i,
 }
 
 /// 2D block pass: x blocked, y streamed; window planes are single rows.
-template <int Rad, int ParVec, typename Count>
-void run_block(const BlockingPlan& plan, const BlockExtent& blk,
-               const Grid2D<float>& in, Grid2D<float>& out, int steps,
-               const TapView<Count>& taps, const KernelArgs& args,
-               RunStats& stats, const CancellationToken* cancel) {
+/// Always inlined into run_block_for, which fixes its ISA.
+template <int Rad, int ParVec, int Lanes, typename Count>
+[[gnu::always_inline]] inline void run_block(
+    const BlockingPlan& plan, const BlockExtent& blk, const Grid2D<float>& in,
+    Grid2D<float>& out, int steps, const TapView<Count>& taps,
+    const KernelArgs& args, RunStats& stats, const CancellationToken* cancel) {
   constexpr std::int64_t W = 2 * Rad + 1;
   const AcceleratorConfig& cfg = plan.config;
   const BoundaryCondition& bc = args.boundary;
@@ -305,6 +355,13 @@ void run_block(const BlockingPlan& plan, const BlockExtent& blk,
   const std::int64_t wx_lo = halo;
   const std::int64_t wx_hi =
       std::min(halo + cfg.csize_x(), blk.valid_x_end - x0);
+  // The x cells stage k computes: its influence cone (see above). Worked
+  // out once per block: recomputing it per row cost 2-tap rows ~10%.
+  std::vector<Span> stage_x(std::size_t(steps) + 1);
+  for (int k = 1; k <= steps; ++k) {
+    stage_x[std::size_t(k)] = whole_chunks<ParVec>(
+        cone(wx_lo, wx_hi, std::int64_t(steps - k) * Rad, ex), ex);
+  }
 
   const std::int64_t ymax = ny + std::int64_t(steps) * Rad;
   for (std::int64_t y = 0; y < ymax; ++y) {
@@ -332,7 +389,9 @@ void run_block(const BlockingPlan& plan, const BlockExtent& blk,
         tp[t] = src[std::size_t(taps.dy[t] + Rad)] + taps.dx[t];
       }
       float* dst = content(k, r);
-      compute_row<ParVec>(dst, ex.lo, ex.hi, tp, 0, args.coeffs, taps.count);
+      const Span xs = stage_x[std::size_t(k)];
+      compute_row<Lanes, ParVec>(dst, xs.lo, xs.hi, tp, 0, args.coeffs,
+                                 taps.count);
       fill_row_ghosts<Rad>(dst, ex, bc);
     }
 
@@ -350,12 +409,12 @@ void run_block(const BlockingPlan& plan, const BlockExtent& blk,
 }
 
 /// 3D block pass: x/y blocked, z streamed; window planes are padded
-/// (bsize_y + 2*Rad) x (bsize_x + 2*Rad) tiles.
-template <int Rad, int ParVec, typename Count>
-void run_block(const BlockingPlan& plan, const BlockExtent& blk,
-               const Grid3D<float>& in, Grid3D<float>& out, int steps,
-               const TapView<Count>& taps, const KernelArgs& args,
-               RunStats& stats, const CancellationToken* cancel) {
+/// (bsize_y + 2*Rad) x (bsize_x + 2*Rad) tiles. Inlined like the 2D one.
+template <int Rad, int ParVec, int Lanes, typename Count>
+[[gnu::always_inline]] inline void run_block(
+    const BlockingPlan& plan, const BlockExtent& blk, const Grid3D<float>& in,
+    Grid3D<float>& out, int steps, const TapView<Count>& taps,
+    const KernelArgs& args, RunStats& stats, const CancellationToken* cancel) {
   constexpr std::int64_t W = 2 * Rad + 1;
   const AcceleratorConfig& cfg = plan.config;
   const BoundaryCondition& bc = args.boundary;
@@ -394,6 +453,15 @@ void run_block(const BlockingPlan& plan, const BlockExtent& blk,
   const std::int64_t wy_lo = halo;
   const std::int64_t wy_hi =
       std::min(halo + cfg.csize_y(), blk.valid_y_end - y0);
+  // The x cells and y rows stage k computes: its influence cone.
+  std::vector<Span> stage_x(std::size_t(steps) + 1);
+  std::vector<Span> stage_y(std::size_t(steps) + 1);
+  for (int k = 1; k <= steps; ++k) {
+    const std::int64_t reach = std::int64_t(steps - k) * Rad;
+    stage_x[std::size_t(k)] =
+        whole_chunks<ParVec>(cone(wx_lo, wx_hi, reach, ex), ex);
+    stage_y[std::size_t(k)] = cone(wy_lo, wy_hi, reach, ey);
+  }
 
   const std::int64_t zmax = nz + std::int64_t(steps) * Rad;
   for (std::int64_t z = 0; z < zmax; ++z) {
@@ -426,10 +494,12 @@ void run_block(const BlockingPlan& plan, const BlockExtent& blk,
                 taps.dx[t];
       }
       float* o = origin(k, p);
-      for (std::int64_t y_rel = ey.lo; y_rel < ey.hi; ++y_rel) {
+      const Span xs = stage_x[std::size_t(k)];
+      const Span ys = stage_y[std::size_t(k)];
+      for (std::int64_t y_rel = ys.lo; y_rel < ys.hi; ++y_rel) {
         float* dst = o + y_rel * prow;
-        compute_row<ParVec>(dst, ex.lo, ex.hi, tp, y_rel * prow, args.coeffs,
-                            taps.count);
+        compute_row<Lanes, ParVec>(dst, xs.lo, xs.hi, tp, y_rel * prow,
+                                   args.coeffs, taps.count);
         fill_row_ghosts<Rad>(dst, ex, bc);
       }
       fill_plane_ghosts<Rad>(o, prow, ey, bc);
@@ -452,9 +522,40 @@ void run_block(const BlockingPlan& plan, const BlockExtent& blk,
   ++stats.block_passes;
 }
 
+#if defined(__x86_64__)
+/// The block pass compiled for AVX2, row loop included (run_block and
+/// compute_row inline here), so nothing crosses ISAs per row.
+template <int Rad, int ParVec, typename GridT, typename Count>
+[[gnu::target("avx2")]] void run_block_avx2(
+    const BlockingPlan& plan, const BlockExtent& blk, const GridT& in,
+    GridT& out, int steps, const TapView<Count>& taps, const KernelArgs& args,
+    RunStats& stats, const CancellationToken* cancel) {
+  run_block<Rad, ParVec, std::min(ParVec, 8)>(plan, blk, in, out, steps, taps,
+                                               args, stats, cancel);
+}
+#endif
+
+/// The block pass compiled for `Isa`: 8-lane vectors under AVX2, 4-lane
+/// ones on baseline x86-64.
+template <KernelIsa Isa, int Rad, int ParVec, typename GridT, typename Count>
+void run_block_for(const BlockingPlan& plan, const BlockExtent& blk,
+                   const GridT& in, GridT& out, int steps,
+                   const TapView<Count>& taps, const KernelArgs& args,
+                   RunStats& stats, const CancellationToken* cancel) {
+#if defined(__x86_64__)
+  if constexpr (Isa == KernelIsa::kAvx2) {
+    run_block_avx2<Rad, ParVec>(plan, blk, in, out, steps, taps, args, stats,
+                                cancel);
+    return;
+  }
+#endif
+  run_block<Rad, ParVec, std::min(ParVec, 4)>(plan, blk, in, out, steps, taps,
+                                               args, stats, cancel);
+}
+
 }  // namespace kernels_detail
 
-template <StencilShape Shape, int Rad, int Dims, int ParVec>
+template <StencilShape Shape, int Rad, int Dims, int ParVec, KernelIsa Isa>
 void run_specialized(const BlockingPlan& plan, const BlockExtent& blk,
                      const GridOf<Dims>& in, GridOf<Dims>& out, int steps,
                      const KernelArgs& args, RunStats& stats,
@@ -464,16 +565,21 @@ void run_specialized(const BlockingPlan& plan, const BlockExtent& blk,
     const KernelTapTable& t = *args.table;
     const TapView<int> taps{int(t.dx.size()), t.dx.data(), t.dy.data(),
                              t.dz.data()};
-    kernels_detail::run_block<Rad, ParVec>(plan, blk, in, out, steps, taps,
-                                           args, stats, cancel);
+    kernels_detail::run_block_for<Isa, Rad, ParVec>(plan, blk, in, out, steps,
+                                                    taps, args, stats, cancel);
   } else {
     using Pattern = kernels_detail::TapPattern<Shape, Rad, Dims>;
     constexpr auto& offs = Pattern::kOffsets;
     const TapView<std::integral_constant<int, Pattern::kCount>> taps{
         {}, offs.dx.data(), offs.dy.data(), offs.dz.data()};
-    kernels_detail::run_block<Rad, ParVec>(plan, blk, in, out, steps, taps,
-                                           args, stats, cancel);
+    kernels_detail::run_block_for<Isa, Rad, ParVec>(plan, blk, in, out, steps,
+                                                    taps, args, stats, cancel);
   }
 }
+
+/// Both ISAs of one envelope point, for the instantiation TUs.
+#define FPGASTENCIL_INSTANTIATE_KERNEL(SHAPE, RAD, DIMS, PARVEC)  \
+  FPGASTENCIL_KERNEL_INSTANCE(SHAPE, RAD, DIMS, PARVEC, kBaseline) \
+  FPGASTENCIL_KERNEL_INSTANCE(SHAPE, RAD, DIMS, PARVEC, kAvx2)
 
 }  // namespace fpga_stencil

@@ -20,7 +20,7 @@
 //   * Corrupted / truncated / version-mismatched files are ignored and
 //     rebuilt on the next put() -- never an error, just a re-search.
 //   * The host fingerprint lives inside the key, so a new machine,
-//     compiler, or -march flag silently invalidates every entry.
+//     compiler, or kernel ISA silently invalidates every entry.
 #pragma once
 
 #include <cstdint>

@@ -11,8 +11,13 @@
 // occurs: interior blocks, partial tail blocks in each blocked dimension,
 // and a tail pass with fewer steps than partime. The runtime-table cases
 // run custom tap sets under every non-periodic boundary against the
-// reference model on sync and block-parallel.
+// reference model on sync and block-parallel. The ISA cases run every
+// entry's baseline and AVX2 instantiations (whichever the CPU supports)
+// against the interpreter, whichever one the registry picked.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
 
 #include "core/block_parallel_accelerator.hpp"
 #include "core/stencil_accelerator.hpp"
@@ -342,6 +347,139 @@ TEST(KernelDispatch, DegenerateExtentsMatchReference) {
       }
     }
   }
+}
+
+/// `iters` steps of `taps` over `grid` on `k` alone, pass by pass as the
+/// executors run them: every block of the plan reads the current grid and
+/// retires its compute region into the other buffer, claimed by one
+/// worker (sync) or several (block-parallel).
+template <typename GridT>
+void run_kernel_passes(const SpecializedKernel& k, const TapSet& taps,
+                       const AcceleratorConfig& cfg, GridT& grid, int iters,
+                       int workers) {
+  constexpr bool k3d = std::is_same_v<GridT, Grid3D<float>>;
+  BlockingPlan plan;
+  if constexpr (k3d) {
+    plan = make_blocking_plan(cfg, grid.nx(), grid.ny(), grid.nz());
+  } else {
+    plan = make_blocking_plan(cfg, grid.nx(), grid.ny());
+  }
+  std::vector<float> coeffs;
+  for (const Tap& t : taps.taps()) coeffs.push_back(t.coeff);
+  GridT next = grid;
+  for (int remaining = iters; remaining > 0;) {
+    const int steps = std::min(remaining, cfg.partime);
+    std::atomic<std::int64_t> claim{0};
+    const auto worker = [&] {
+      RunStats stats;
+      for (std::int64_t b; (b = claim.fetch_add(1)) < plan.total_blocks();) {
+        const BlockExtent blk = block_extent(plan, b);
+        if constexpr (k3d) {
+          k.run_3d(plan, blk, grid, next, steps, coeffs.data(), stats,
+                   nullptr, taps.boundary());
+        } else {
+          k.run_2d(plan, blk, grid, next, steps, coeffs.data(), stats,
+                   nullptr, taps.boundary());
+        }
+      }
+    };
+    {
+      std::vector<std::jthread> helpers;
+      for (int w = 1; w < workers; ++w) helpers.emplace_back(worker);
+      worker();
+    }
+    std::swap(grid, next);
+    remaining -= steps;
+  }
+}
+
+/// `isa`'s entry for (taps, parvec) against the interpreter's `want`, on
+/// one worker and on three.
+template <typename GridT>
+void expect_isa_matches(KernelIsa isa, const TapSet& taps, int parvec,
+                        const GridT& base, const GridT& want) {
+  const AcceleratorConfig cfg =
+      envelope_config(taps.dims(), taps.radius(), parvec);
+  const SpecializedKernel* found = KernelRegistry::instance().find(taps, cfg);
+  ASSERT_NE(found, nullptr);
+  const SpecializedKernel k = kernels_detail::with_isa(*found, isa);
+  for (const int workers : {1, 3}) {
+    GridT got = base;
+    run_kernel_passes(k, taps, cfg, got, 3, workers);
+    const CompareResult cmp = compare_exact(got, want);
+    EXPECT_TRUE(cmp.identical())
+        << found->name << " " << kernel_isa_name(isa) << " "
+        << taps.boundary().describe() << " on " << workers
+        << " worker(s): " << cmp.summary();
+  }
+}
+
+/// Every registry entry compiled for `isa` -- star and box on their
+/// canonical tables, the runtime-table families on a reversed star --
+/// against the interpreter on the tail-stressing grids (partime 2 over
+/// three steps: a full pass, then a partial one), under clamp, reflective
+/// and dirichlet boundaries. The interpreter's bits do not depend on
+/// parvec, so each tap set runs on it once.
+void expect_every_entry_exact_on(KernelIsa isa) {
+  std::size_t entries = 0;
+  for (StencilShape shape :
+       {StencilShape::kStar, StencilShape::kBox, StencilShape::kTable}) {
+    const bool table = shape == StencilShape::kTable;
+    for (int dims : {2, 3}) {
+      for (int rad : kRadii) {
+        const TapSet canonical =
+            envelope_taps(table ? StencilShape::kStar : shape, dims, rad);
+        for (const BoundaryCondition& bc :
+             {BoundaryCondition::clamp(), BoundaryCondition::reflective(),
+              BoundaryCondition::dirichlet(0.75f)}) {
+          const TapSet taps =
+              (table ? reversed(canonical) : canonical).with_boundary(bc);
+          AcceleratorConfig interp = envelope_config(dims, rad, 1);
+          interp.use_specialized_kernels = false;
+          const auto sweep = [&](auto base) {
+            base.fill_random(31, -1.0f, 1.0f);
+            auto want = base;
+            StencilAccelerator(taps, interp).run(want, 3);
+            for (int pv : kParvecs) {
+              expect_isa_matches(isa, taps, pv, base, want);
+            }
+          };
+          if (dims == 2) {
+            sweep(Grid2D<float>(45, 23));
+          } else {
+            sweep(Grid3D<float>(45, 27, 9));
+          }
+        }
+        entries += std::size(kParvecs);
+      }
+    }
+  }
+  EXPECT_EQ(entries, KernelRegistry::instance().entries().size());
+}
+
+TEST(KernelIsa, RegistryPicksTheWidestSupportedIsa) {
+  EXPECT_TRUE(cpu_supports(KernelIsa::kBaseline));
+  const KernelIsa want = cpu_supports(KernelIsa::kAvx2) ? KernelIsa::kAvx2
+                                                        : KernelIsa::kBaseline;
+  EXPECT_EQ(KernelRegistry::instance().isa(), want);
+  EXPECT_STREQ(kernel_isa_name(KernelIsa::kAvx2), "avx2");
+  // The two instantiations are distinct code, so the parity sweeps below
+  // really run both.
+  const SpecializedKernel& k = KernelRegistry::instance().entries().front();
+  EXPECT_NE(kernels_detail::with_isa(k, KernelIsa::kBaseline).fn_2d,
+            kernels_detail::with_isa(k, KernelIsa::kAvx2).fn_2d);
+}
+
+TEST(KernelIsa, BaselineEntriesMatchInterpreter) {
+  expect_every_entry_exact_on(KernelIsa::kBaseline);
+}
+
+TEST(KernelIsa, Avx2EntriesMatchInterpreter) {
+  if (!cpu_supports(KernelIsa::kAvx2)) {
+    GTEST_SKIP() << "this CPU lacks AVX2, so the AVX2 row loop cannot run "
+                    "here; kernels_no_fma still checks its code";
+  }
+  expect_every_entry_exact_on(KernelIsa::kAvx2);
 }
 
 TEST(KernelDispatch, OffEnvelopeFallsBackBitExact) {

@@ -447,7 +447,7 @@ HOST_SCHEMA = {
     "l1_kib": int,
     "l2_kib": int,
     "llc_kib": int,
-    "native_arch": bool,
+    "kernel_isa": str,
     "compiler": str,
     "fingerprint": str,
 }
