@@ -127,8 +127,7 @@ void BM_EngineRunCachedTunedPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineRunCachedTunedPlan);
 
-// submit + wait through the one front door (EngineCluster::run is a
-// deprecated one-release shim).
+// submit + wait through the one front door.
 JobResult cluster_run(EngineCluster& cluster, JobSpec spec) {
   JobHandle h = cluster.submit(std::move(spec));
   return std::move(h.wait());

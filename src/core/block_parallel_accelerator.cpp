@@ -14,6 +14,7 @@
 #include "common/buffer_pool.hpp"
 #include "common/stopwatch.hpp"
 #include "core/block_streamer.hpp"
+#include "core/pass_chain.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/watchdog.hpp"
 #include "telemetry/telemetry.hpp"
@@ -43,46 +44,47 @@ struct PassState {
   const GridT* in = nullptr;
   GridT* out = nullptr;
   int steps = 0;
+  StoreOp store;
   std::atomic<std::int64_t> next_block{0};
   bool done = false;  ///< set before the start barrier to retire the pool
 };
 
 template <typename GridT>
-RunStats run_block_parallel_impl(const TapSet& taps,
-                                 const AcceleratorConfig& cfg0, GridT& grid,
-                                 int iterations, const RunOptions& opts) {
+BlockingPlan plan_for(const AcceleratorConfig& cfg, const GridT& grid) {
+  if constexpr (std::is_same_v<GridT, Grid3D<float>>) {
+    return make_blocking_plan(cfg, grid.nx(), grid.ny(), grid.nz());
+  } else {
+    return make_blocking_plan(cfg, grid.nx(), grid.ny());
+  }
+}
+
+/// The configuration a run executes: validated, stage_lag resolved, the
+/// options' telemetry hook preferred.
+template <typename GridT>
+AcceleratorConfig run_config(const TapSet& taps, const AcceleratorConfig& cfg0,
+                             int iterations, const RunOptions& opts) {
   constexpr bool is_3d = std::is_same_v<GridT, Grid3D<float>>;
   FPGASTENCIL_EXPECT(cfg0.dims == (is_3d ? 3 : 2),
                      "grid dimensionality does not match the configuration");
   FPGASTENCIL_EXPECT(iterations >= 0, "iterations must be non-negative");
   AcceleratorConfig cfg = resolve_stage_lag(taps, cfg0);
   if (opts.telemetry) cfg.telemetry = opts.telemetry;
-  Telemetry* const tel = cfg.telemetry;
+  return cfg;
+}
 
-  const BlockingPlan plan = [&] {
-    if constexpr (is_3d) {
-      return make_blocking_plan(cfg, grid.nx(), grid.ny(), grid.nz());
-    } else {
-      return make_blocking_plan(cfg, grid.nx(), grid.ny());
-    }
-  }();
+/// The pass chain from `in` to `out` (core/pass_chain.hpp), every pass's
+/// blocks fanned out over one worker pool that lives for the whole chain.
+template <typename GridT>
+RunStats run_chain_parallel(const TapSet& taps, const AcceleratorConfig& cfg,
+                            const GridT& in, GridT& out, GridT* spare0,
+                            GridT* spare1, int iterations,
+                            const StoreOp& store, const RunOptions& opts,
+                            const GridT*& done) {
+  Telemetry* const tel = cfg.telemetry;
+  const BlockingPlan plan = plan_for(cfg, in);
   const int workers = resolved_block_workers(opts, plan);
 
   RunStats stats;
-  if (iterations == 0) return stats;
-
-  GridT scratch = [&] {
-    if constexpr (is_3d) {
-      return opts.scratch ? GridT(grid.nx(), grid.ny(), grid.nz(),
-                                  std::move(*opts.scratch))
-                          : GridT(grid.nx(), grid.ny(), grid.nz());
-    } else {
-      return opts.scratch
-                 ? GridT(grid.nx(), grid.ny(), std::move(*opts.scratch))
-                 : GridT(grid.nx(), grid.ny());
-    }
-  }();
-
   const std::size_t pool_size = static_cast<std::size_t>(workers);
   PassState<GridT> pass;
   std::barrier<> start(workers + 1);
@@ -135,7 +137,7 @@ RunStats run_block_parallel_impl(const TapSet& taps,
     } catch (...) {
       // The worker must keep participating in the barriers even when its
       // setup failed, or the coordinator would deadlock; it just claims
-      // no blocks. The error surfaces after the run.
+      // no blocks. The error surfaces after the pass.
       worker_errors[std::size_t(w)] = std::current_exception();
     }
     for (;;) {
@@ -163,7 +165,7 @@ RunStats run_block_parallel_impl(const TapSet& taps,
             if (b >= plan.total_blocks()) break;
             stream_block(pes, plan, block_extent(plan, b), *pass.in,
                          *pass.out, pass.steps, va, vb,
-                         worker_stats[std::size_t(w)], cancel);
+                         worker_stats[std::size_t(w)], cancel, pass.store);
             if (dog) dog->kick();
           }
         } catch (...) {
@@ -185,61 +187,54 @@ RunStats run_block_parallel_impl(const TapSet& taps,
   std::vector<std::thread> pool_threads;
   pool_threads.reserve(std::size_t(workers));
   for (int w = 0; w < workers; ++w) pool_threads.emplace_back(worker_fn, w);
+  const auto retire_pool = [&] {
+    pass.done = true;
+    start.arrive_and_wait();
+    if (dog) dog->stop();
+    for (std::thread& t : pool_threads) t.join();
+  };
 
-  GridT* cur = &grid;
-  GridT* nxt = &scratch;
-  int remaining = iterations;
   std::int64_t written_so_far = 0;
-  bool failed = false;
-  while (remaining > 0 && !failed) {
-    pass.in = cur;
-    pass.out = nxt;
-    pass.steps = std::min(remaining, cfg.partime);
-    pass.next_block.store(0, std::memory_order_relaxed);
-    const Stopwatch pass_clock;
-    start.arrive_and_wait();   // release the pass to the pool
-    finish.arrive_and_wait();  // every block of the pass has retired
-    for (const std::exception_ptr& e : worker_errors) {
-      if (e) failed = true;
-    }
-    if (aborted.load(std::memory_order_acquire)) failed = true;
-    if (failed) break;
-    std::swap(cur, nxt);
-    remaining -= pass.steps;
-    stats.time_steps += pass.steps;
-    ++stats.passes;
-    if (tel) {
-      std::int64_t written = 0;
-      for (const RunStats& ws : worker_stats) written += ws.cells_written;
-      record_pass_metrics(*tel, "block_parallel", written - written_so_far,
-                          pass_clock.nanoseconds());
-      written_so_far = written;
-    }
+  try {
+    run_pass_chain(
+        in, out, spare0, spare1, iterations, cfg.partime, store, done,
+        [&](const GridT& src, GridT& dst, int steps, const StoreOp& st) {
+          pass.in = &src;
+          pass.out = &dst;
+          pass.steps = steps;
+          pass.store = st;
+          pass.next_block.store(0, std::memory_order_relaxed);
+          const Stopwatch pass_clock;
+          start.arrive_and_wait();   // release the pass to the pool
+          finish.arrive_and_wait();  // every block of the pass has retired
+          // Unwound mid-pass (cancel, deadline, watchdog trip, or a worker
+          // error): the first worker's error by index wins; with none,
+          // the watchdog unwound a stalled pass (the hung worker parked on
+          // the gate, its siblings drained the remaining blocks).
+          for (const std::exception_ptr& e : worker_errors) {
+            if (e) std::rethrow_exception(e);
+          }
+          if (aborted.load(std::memory_order_acquire)) {
+            throw PassAbortedError(
+                "block-parallel pass unwound by watchdog (no progress "
+                "within deadline)");
+          }
+          stats.time_steps += steps;
+          ++stats.passes;
+          if (tel) {
+            std::int64_t written = 0;
+            for (const RunStats& ws : worker_stats) written += ws.cells_written;
+            record_pass_metrics(*tel, "block_parallel",
+                                written - written_so_far,
+                                pass_clock.nanoseconds());
+            written_so_far = written;
+          }
+        });
+  } catch (...) {
+    retire_pool();
+    throw;
   }
-  pass.done = true;
-  start.arrive_and_wait();  // retire the pool
-  if (dog) dog->stop();
-  for (std::thread& t : pool_threads) t.join();
-  if (failed) {
-    // Unwound mid-run (cancel, deadline, watchdog trip, or a worker
-    // error). Leave the caller's grid holding the last *completed* pass
-    // -- the aborted pass only touched the scratch side -- and drop the
-    // scratch storage (opts.scratch stays empty, the documented abort
-    // contract; the pool lease still flows back through the caller).
-    if (cur != &grid) std::swap(grid, scratch);
-    for (const std::exception_ptr& e : worker_errors) {
-      if (e) std::rethrow_exception(e);  // first worker by index wins
-    }
-    // No worker recorded an error: the watchdog unwound a stalled pass
-    // (the hung worker parked on the gate, its siblings drained the
-    // remaining blocks).
-    throw PassAbortedError(
-        "block-parallel pass unwound by watchdog (no progress within "
-        "deadline)");
-  }
-  for (const std::exception_ptr& e : worker_errors) {
-    if (e) std::rethrow_exception(e);  // first worker by index wins
-  }
+  retire_pool();
 
   // Merge in worker-index order so the aggregate is deterministic too.
   for (const RunStats& ws : worker_stats) {
@@ -248,9 +243,6 @@ RunStats run_block_parallel_impl(const TapSet& taps,
     stats.vectors_processed += ws.vectors_processed;
     stats.block_passes += ws.block_passes;
   }
-
-  if (cur != &grid) std::swap(grid, scratch);
-  if (opts.scratch) *opts.scratch = scratch.release_storage();
 
   if (tel) {
     MetricsRegistry& m = tel->metrics();
@@ -278,7 +270,40 @@ template <typename GridT>
 RunStats run_block_parallel(const TapSet& taps, const AcceleratorConfig& cfg,
                             GridT& grid, int iterations,
                             const RunOptions& options) {
-  return run_block_parallel_impl(taps, cfg, grid, iterations, options);
+  const AcceleratorConfig rcfg =
+      run_config<GridT>(taps, cfg, iterations, options);
+  if (iterations == 0) return {};
+  // An aborted run leaves the caller's grid holding the last completed
+  // pass and drops the scratch storage (options.scratch stays empty, the
+  // documented abort contract; the pool lease still flows back through
+  // the caller).
+  return in_place_chain(
+      grid, pass_count(iterations, rcfg.partime), options.scratch,
+      [&](GridT& out, GridT* spare0, GridT* spare1, const GridT*& done) {
+        return run_chain_parallel(taps, rcfg, grid, out, spare0, spare1,
+                                  iterations, StoreOp::assign(), options,
+                                  done);
+      });
+}
+
+template <typename GridT>
+RunStats run_block_parallel_into(const TapSet& taps,
+                                 const AcceleratorConfig& cfg,
+                                 const GridT& in, GridT& out, int iterations,
+                                 const StoreOp& store,
+                                 const RunOptions& options) {
+  const AcceleratorConfig rcfg =
+      run_config<GridT>(taps, cfg, iterations, options);
+  FPGASTENCIL_EXPECT(iterations > 0,
+                     "run_block_parallel_into needs at least one step");
+  FPGASTENCIL_EXPECT(in.size() == out.size() && in.data() != out.data(),
+                     "run_block_parallel_into needs an output the input's "
+                     "size, elsewhere");
+  const int passes = pass_count(iterations, rcfg.partime);
+  ChainSpares<GridT> spares(in, passes, options.pool);
+  const GridT* done = nullptr;
+  return run_chain_parallel(taps, rcfg, in, out, spares.get(0), spares.get(1),
+                            iterations, store, options, done);
 }
 
 template RunStats run_block_parallel<Grid2D<float>>(const TapSet&,
@@ -289,5 +314,11 @@ template RunStats run_block_parallel<Grid3D<float>>(const TapSet&,
                                                     const AcceleratorConfig&,
                                                     Grid3D<float>&, int,
                                                     const RunOptions&);
+template RunStats run_block_parallel_into<Grid2D<float>>(
+    const TapSet&, const AcceleratorConfig&, const Grid2D<float>&,
+    Grid2D<float>&, int, const StoreOp&, const RunOptions&);
+template RunStats run_block_parallel_into<Grid3D<float>>(
+    const TapSet&, const AcceleratorConfig&, const Grid3D<float>&,
+    Grid3D<float>&, int, const StoreOp&, const RunOptions&);
 
 }  // namespace fpga_stencil

@@ -16,7 +16,9 @@
 //     atomic cursor, so an uneven last block never idles the pool.
 //   * Passes are barriers: pass k+1 reads cells that pass k wrote into
 //     neighbouring blocks' halo regions, so every block of a pass
-//     retires before the grids ping-pong and the next pass starts.
+//     retires before the next pass starts. The pass sequence is the sync
+//     simulator's (core/pass_chain.hpp): in place, or from an input to a
+//     separate output whose last pass stores with a StoreOp.
 //   * Determinism: each block writes only its own compute region
 //     (disjoint by construction of the plan) through the same
 //     stream_block() core as StencilAccelerator, so the output is
@@ -59,5 +61,27 @@ extern template RunStats run_block_parallel<Grid2D<float>>(
 extern template RunStats run_block_parallel<Grid3D<float>>(
     const TapSet&, const AcceleratorConfig&, Grid3D<float>&, int,
     const RunOptions&);
+
+/// Advances `in` by `iterations` time steps on a worker pool and stores
+/// the result into `out` (same extents, another buffer) with `store`;
+/// `store.prev` may be `out` itself. Passes before the last run over
+/// spare grids leased from options.pool (a private pool when null;
+/// options.scratch is not used); only the last pass touches `out`.
+/// `iterations` must be positive. Bit-exact with
+/// StencilAccelerator::run_into regardless of options.workers. An aborted
+/// run throws with `in` untouched and `out` unspecified.
+template <typename GridT>
+RunStats run_block_parallel_into(const TapSet& taps,
+                                 const AcceleratorConfig& cfg,
+                                 const GridT& in, GridT& out, int iterations,
+                                 const StoreOp& store,
+                                 const RunOptions& options = {});
+
+extern template RunStats run_block_parallel_into<Grid2D<float>>(
+    const TapSet&, const AcceleratorConfig&, const Grid2D<float>&,
+    Grid2D<float>&, int, const StoreOp&, const RunOptions&);
+extern template RunStats run_block_parallel_into<Grid3D<float>>(
+    const TapSet&, const AcceleratorConfig&, const Grid3D<float>&,
+    Grid3D<float>&, int, const StoreOp&, const RunOptions&);
 
 }  // namespace fpga_stencil

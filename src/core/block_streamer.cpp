@@ -23,6 +23,12 @@ std::int64_t wrap_index(std::int64_t i, std::int64_t n) {
   return m < 0 ? m + n : m;
 }
 
+/// The write kernel's store of `v` into `cell`, a cell of `out`.
+template <typename GridT>
+void store_cell(const StoreOp& store, const GridT& out, float& cell, float v) {
+  cell = store.is_add() ? store.prev[&cell - out.data()] + v : v;
+}
+
 /// Runs the block on a registry kernel if this configuration has one.
 /// Returns false (periodic, off-envelope or dispatch disabled) when the
 /// caller must fall back to the interpreter. Telemetry, when attached:
@@ -31,7 +37,7 @@ template <typename GridT>
 bool try_specialized(std::vector<ProcessingElement>& pes,
                      const BlockingPlan& plan, const BlockExtent& blk,
                      const GridT& in, GridT& out, int steps, RunStats& stats,
-                     const CancellationToken* cancel) {
+                     const CancellationToken* cancel, const StoreOp& store) {
   const AcceleratorConfig& cfg = plan.config;
   if (!cfg.use_specialized_kernels || pes.empty()) return false;
   const TapSet& taps = pes.front().taps();
@@ -55,10 +61,10 @@ bool try_specialized(std::vector<ProcessingElement>& pes,
   const Stopwatch clock;
   if constexpr (std::is_same_v<GridT, Grid2D<float>>) {
     kernel->run_2d(plan, blk, in, out, steps, cf.data(), stats, cancel,
-                   taps.boundary());
+                   taps.boundary(), store);
   } else {
     kernel->run_3d(plan, blk, in, out, steps, cf.data(), stats, cancel,
-                   taps.boundary());
+                   taps.boundary(), store);
   }
   if (tel) {
     const std::int64_t ns = clock.nanoseconds();
@@ -78,33 +84,40 @@ void stream_block(std::vector<ProcessingElement>& pes,
                   const BlockingPlan& plan, const BlockExtent& blk,
                   const Grid2D<float>& in, Grid2D<float>& out, int steps,
                   std::span<float> va, std::span<float> vb, RunStats& stats,
-                  const CancellationToken* cancel) {
-  if (try_specialized(pes, plan, blk, in, out, steps, stats, cancel)) return;
+                  const CancellationToken* cancel, const StoreOp& store) {
+  if (try_specialized(pes, plan, blk, in, out, steps, stats, cancel, store)) {
+    return;
+  }
   if (plan.config.telemetry) {
     plan.config.telemetry->metrics().counter("kernels.dispatch_fallback")
         .add(1);
   }
-  stream_block_generic(pes, plan, blk, in, out, steps, va, vb, stats, cancel);
+  stream_block_generic(pes, plan, blk, in, out, steps, va, vb, stats, cancel,
+                       store);
 }
 
 void stream_block(std::vector<ProcessingElement>& pes,
                   const BlockingPlan& plan, const BlockExtent& blk,
                   const Grid3D<float>& in, Grid3D<float>& out, int steps,
                   std::span<float> va, std::span<float> vb, RunStats& stats,
-                  const CancellationToken* cancel) {
-  if (try_specialized(pes, plan, blk, in, out, steps, stats, cancel)) return;
+                  const CancellationToken* cancel, const StoreOp& store) {
+  if (try_specialized(pes, plan, blk, in, out, steps, stats, cancel, store)) {
+    return;
+  }
   if (plan.config.telemetry) {
     plan.config.telemetry->metrics().counter("kernels.dispatch_fallback")
         .add(1);
   }
-  stream_block_generic(pes, plan, blk, in, out, steps, va, vb, stats, cancel);
+  stream_block_generic(pes, plan, blk, in, out, steps, va, vb, stats, cancel,
+                       store);
 }
 
 void stream_block_generic(std::vector<ProcessingElement>& pes,
                           const BlockingPlan& plan, const BlockExtent& blk,
                           const Grid2D<float>& in, Grid2D<float>& out,
                           int steps, std::span<float> va, std::span<float> vb,
-                          RunStats& stats, const CancellationToken* cancel) {
+                          RunStats& stats, const CancellationToken* cancel,
+                          const StoreOp& store) {
   const AcceleratorConfig& cfg = plan.config;
   const std::int64_t halo = cfg.halo();
   const std::int64_t drain = cfg.stream_drain();
@@ -162,14 +175,14 @@ void stream_block_generic(std::vector<ProcessingElement>& pes,
       std::swap(cur, nxt);
     }
 
-    // --- write kernel: retire valid cells ---
+    // --- write kernel: store valid cells ---
     const std::int64_t yg = y_in - drain - prepad;  // total chain lag
     if (yg < 0 || yg >= in.ny()) continue;
     for (std::int64_t l = 0; l < cfg.parvec; ++l) {
       const std::int64_t x_rel = x_rel_in + l;
       const std::int64_t xg = blk.x0 + x_rel;
       if (x_rel >= halo && x_rel < halo + csize && xg < blk.valid_x_end) {
-        out.at(xg, yg) = cur[size_t(l)];
+        store_cell(store, out, out.at(xg, yg), cur[size_t(l)]);
         ++stats.cells_written;
       }
     }
@@ -182,7 +195,8 @@ void stream_block_generic(std::vector<ProcessingElement>& pes,
                           const BlockingPlan& plan, const BlockExtent& blk,
                           const Grid3D<float>& in, Grid3D<float>& out,
                           int steps, std::span<float> va, std::span<float> vb,
-                          RunStats& stats, const CancellationToken* cancel) {
+                          RunStats& stats, const CancellationToken* cancel,
+                          const StoreOp& store) {
   const AcceleratorConfig& cfg = plan.config;
   const std::int64_t halo = cfg.halo();
   const std::int64_t drain = cfg.stream_drain();
@@ -243,7 +257,7 @@ void stream_block_generic(std::vector<ProcessingElement>& pes,
       std::swap(cur, nxt);
     }
 
-    // --- write kernel ---
+    // --- write kernel: store valid cells ---
     const std::int64_t zg = z_in - drain - prepad;
     if (zg < 0 || zg >= in.nz()) continue;
     const std::int64_t y_rel = y_rel_in;
@@ -253,7 +267,7 @@ void stream_block_generic(std::vector<ProcessingElement>& pes,
       const std::int64_t x_rel = x_rel_in + l;
       const std::int64_t xg = blk.x0 + x_rel;
       if (x_rel >= halo && x_rel < halo + csx && xg < blk.valid_x_end) {
-        out.at(xg, yg, zg) = cur[size_t(l)];
+        store_cell(store, out, out.at(xg, yg, zg), cur[size_t(l)]);
         ++stats.cells_written;
       }
     }

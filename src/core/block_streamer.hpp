@@ -25,12 +25,17 @@
 // compute region. (The specialized path additionally uses a
 // thread-local scratch slab internal to src/kernels.)
 //
+// Store: every retired cell lands in `out` through `store` (StoreOp,
+// stencil/store_op.hpp): assign writes the result, add writes
+// prev + result. Both paths apply it per cell in their write step, so a
+// pass's result never needs a second pass over the grid to combine.
+//
 // Cancellation: a non-null `cancel` token is checked every few hundred
 // vectors (interpreter) / every streamed plane (specialized); a tripped
 // token aborts the block by throwing CancelledError /
-// DeadlineExceededError. The block's partial writes land only in `out`
-// (the pass's scratch side), which the caller discards on unwind, so the
-// caller-visible grid is never left half-written.
+// DeadlineExceededError. The block's partial writes land only in `out`,
+// which the caller discards on unwind (the in-place runs keep the last
+// completed pass; see StencilAccelerator::run).
 #pragma once
 
 #include <span>
@@ -38,25 +43,29 @@
 
 #include "common/cancellation.hpp"
 #include "core/stencil_accelerator.hpp"
+#include "stencil/store_op.hpp"
 
 namespace fpga_stencil {
 
 /// Streams one 2D block (1.5D blocking: x blocked, y streamed) through
-/// `pes` for a pass of `steps <= partime` time steps, retiring valid
-/// cells of the block's compute region into `out`. Dispatches to a
-/// specialized kernel when the registry has one for this configuration.
+/// `pes` for a pass of `steps <= partime` time steps, storing valid
+/// cells of the block's compute region into `out` with `store`.
+/// Dispatches to a specialized kernel when the registry has one for this
+/// configuration.
 void stream_block(std::vector<ProcessingElement>& pes,
                   const BlockingPlan& plan, const BlockExtent& blk,
                   const Grid2D<float>& in, Grid2D<float>& out, int steps,
                   std::span<float> va, std::span<float> vb, RunStats& stats,
-                  const CancellationToken* cancel = nullptr);
+                  const CancellationToken* cancel = nullptr,
+                  const StoreOp& store = {});
 
 /// Streams one 3D block (2.5D blocking: x/y blocked, z streamed).
 void stream_block(std::vector<ProcessingElement>& pes,
                   const BlockingPlan& plan, const BlockExtent& blk,
                   const Grid3D<float>& in, Grid3D<float>& out, int steps,
                   std::span<float> va, std::span<float> vb, RunStats& stats,
-                  const CancellationToken* cancel = nullptr);
+                  const CancellationToken* cancel = nullptr,
+                  const StoreOp& store = {});
 
 /// The scalar interpreter, bypassing the KernelRegistry unconditionally.
 /// Semantic reference for tests/kernels_test.cpp and baseline for
@@ -66,12 +75,14 @@ void stream_block_generic(std::vector<ProcessingElement>& pes,
                           const Grid2D<float>& in, Grid2D<float>& out,
                           int steps, std::span<float> va, std::span<float> vb,
                           RunStats& stats,
-                          const CancellationToken* cancel = nullptr);
+                          const CancellationToken* cancel = nullptr,
+                          const StoreOp& store = {});
 void stream_block_generic(std::vector<ProcessingElement>& pes,
                           const BlockingPlan& plan, const BlockExtent& blk,
                           const Grid3D<float>& in, Grid3D<float>& out,
                           int steps, std::span<float> va, std::span<float> vb,
                           RunStats& stats,
-                          const CancellationToken* cancel = nullptr);
+                          const CancellationToken* cancel = nullptr,
+                          const StoreOp& store = {});
 
 }  // namespace fpga_stencil

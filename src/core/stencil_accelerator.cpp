@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <span>
+#include <type_traits>
 #include <utility>
 
 #include "common/stopwatch.hpp"
 #include "core/block_streamer.hpp"
+#include "core/pass_chain.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace fpga_stencil {
@@ -54,91 +56,108 @@ StencilAccelerator::StencilAccelerator(const StarStencil& stencil,
 }
 
 RunStats StencilAccelerator::run(Grid2D<float>& grid, int iterations,
-                                 std::vector<float>* scratch_storage,
+                                 std::vector<float>* scratch,
                                  const CancellationToken* cancel) {
   FPGASTENCIL_EXPECT(cfg_.dims == 2, "2D run on a 3D configuration");
-  FPGASTENCIL_EXPECT(iterations >= 0, "iterations must be non-negative");
-  RunStats stats;
-  Grid2D<float> scratch =
-      scratch_storage
-          ? Grid2D<float>(grid.nx(), grid.ny(), std::move(*scratch_storage))
-          : Grid2D<float>(grid.nx(), grid.ny());
-  int remaining = iterations;
-  while (remaining > 0) {
-    const int steps = std::min(remaining, cfg_.partime);
-    const std::int64_t written_before = stats.cells_written;
-    Tracer::Span span;
-    if (cfg_.telemetry) span = cfg_.telemetry->tracer().span("sync_pass", 0, "sync");
-    const Stopwatch pass_clock;
-    run_pass(grid, scratch, steps, stats, cancel);
-    if (cfg_.telemetry) {
-      span.end();
-      record_pass_metrics(*cfg_.telemetry, "sync",
-                          stats.cells_written - written_before,
-                          pass_clock.nanoseconds());
-    }
-    std::swap(grid, scratch);
-    remaining -= steps;
-    stats.time_steps += steps;
-    ++stats.passes;
-  }
-  if (scratch_storage) *scratch_storage = scratch.release_storage();
-  return stats;
+  return run_in_place(grid, iterations, scratch, cancel);
 }
 
 RunStats StencilAccelerator::run(Grid3D<float>& grid, int iterations,
-                                 std::vector<float>* scratch_storage,
+                                 std::vector<float>* scratch,
                                  const CancellationToken* cancel) {
   FPGASTENCIL_EXPECT(cfg_.dims == 3, "3D run on a 2D configuration");
+  return run_in_place(grid, iterations, scratch, cancel);
+}
+
+RunStats StencilAccelerator::run_into(const Grid2D<float>& in,
+                                      Grid2D<float>& out, int iterations,
+                                      const StoreOp& store, BufferPool* pool,
+                                      const CancellationToken* cancel) {
+  FPGASTENCIL_EXPECT(cfg_.dims == 2, "2D run on a 3D configuration");
+  return run_into_impl(in, out, iterations, store, pool, cancel);
+}
+
+RunStats StencilAccelerator::run_into(const Grid3D<float>& in,
+                                      Grid3D<float>& out, int iterations,
+                                      const StoreOp& store, BufferPool* pool,
+                                      const CancellationToken* cancel) {
+  FPGASTENCIL_EXPECT(cfg_.dims == 3, "3D run on a 2D configuration");
+  return run_into_impl(in, out, iterations, store, pool, cancel);
+}
+
+template <typename GridT>
+RunStats StencilAccelerator::run_in_place(GridT& grid, int iterations,
+                                          std::vector<float>* scratch,
+                                          const CancellationToken* cancel) {
   FPGASTENCIL_EXPECT(iterations >= 0, "iterations must be non-negative");
+  return in_place_chain(
+      grid, pass_count(iterations, cfg_.partime), scratch,
+      [&](GridT& out, GridT* spare0, GridT* spare1, const GridT*& done) {
+        return run_chain(grid, out, spare0, spare1, iterations,
+                         StoreOp::assign(), done, cancel);
+      });
+}
+
+template <typename GridT>
+RunStats StencilAccelerator::run_into_impl(const GridT& in, GridT& out,
+                                           int iterations,
+                                           const StoreOp& store,
+                                           BufferPool* pool,
+                                           const CancellationToken* cancel) {
+  FPGASTENCIL_EXPECT(iterations > 0, "run_into needs at least one step");
+  FPGASTENCIL_EXPECT(in.size() == out.size() && in.data() != out.data(),
+                     "run_into needs an output the input's size, elsewhere");
+  const int passes = pass_count(iterations, cfg_.partime);
+  ChainSpares<GridT> spares(in, passes, pool);
+  const GridT* done = nullptr;
+  return run_chain(in, out, spares.get(0), spares.get(1), iterations, store,
+                   done, cancel);
+}
+
+template <typename GridT>
+RunStats StencilAccelerator::run_chain(const GridT& in, GridT& out,
+                                       GridT* spare0, GridT* spare1,
+                                       int iterations, const StoreOp& store,
+                                       const GridT*& done,
+                                       const CancellationToken* cancel) {
   RunStats stats;
-  Grid3D<float> scratch =
-      scratch_storage
-          ? Grid3D<float>(grid.nx(), grid.ny(), grid.nz(),
-                          std::move(*scratch_storage))
-          : Grid3D<float>(grid.nx(), grid.ny(), grid.nz());
-  int remaining = iterations;
-  while (remaining > 0) {
-    const int steps = std::min(remaining, cfg_.partime);
-    const std::int64_t written_before = stats.cells_written;
-    Tracer::Span span;
-    if (cfg_.telemetry) span = cfg_.telemetry->tracer().span("sync_pass", 0, "sync");
-    const Stopwatch pass_clock;
-    run_pass(grid, scratch, steps, stats, cancel);
-    if (cfg_.telemetry) {
-      span.end();
-      record_pass_metrics(*cfg_.telemetry, "sync",
-                          stats.cells_written - written_before,
-                          pass_clock.nanoseconds());
-    }
-    std::swap(grid, scratch);
-    remaining -= steps;
-    stats.time_steps += steps;
-    ++stats.passes;
-  }
-  if (scratch_storage) *scratch_storage = scratch.release_storage();
+  run_pass_chain(
+      in, out, spare0, spare1, iterations, cfg_.partime, store, done,
+      [&](const GridT& src, GridT& dst, int steps, const StoreOp& st) {
+        const std::int64_t written_before = stats.cells_written;
+        Tracer::Span span;
+        if (cfg_.telemetry) {
+          span = cfg_.telemetry->tracer().span("sync_pass", 0, "sync");
+        }
+        const Stopwatch pass_clock;
+        run_pass(src, dst, steps, stats, cancel, st);
+        if (cfg_.telemetry) {
+          span.end();
+          record_pass_metrics(*cfg_.telemetry, "sync",
+                              stats.cells_written - written_before,
+                              pass_clock.nanoseconds());
+        }
+        stats.time_steps += steps;
+        ++stats.passes;
+      });
   return stats;
 }
 
-void StencilAccelerator::run_pass(const Grid2D<float>& in, Grid2D<float>& out,
-                                  int steps, RunStats& stats,
-                                  const CancellationToken* cancel) {
-  const BlockingPlan plan = make_blocking_plan(cfg_, in.nx(), in.ny());
-  for (std::int64_t b = 0; b < plan.total_blocks(); ++b) {
-    stream_block(pes_, plan, block_extent(plan, b), in, out, steps,
-                 std::span<float>(vec_a_), std::span<float>(vec_b_), stats,
-                 cancel);
+template <typename GridT>
+void StencilAccelerator::run_pass(const GridT& in, GridT& out, int steps,
+                                  RunStats& stats,
+                                  const CancellationToken* cancel,
+                                  const StoreOp& store) {
+  BlockingPlan plan;
+  if constexpr (std::is_same_v<GridT, Grid3D<float>>) {
+    plan = make_blocking_plan(cfg_, in.nx(), in.ny(), in.nz());
+  } else {
+    plan = make_blocking_plan(cfg_, in.nx(), in.ny());
   }
-}
-
-void StencilAccelerator::run_pass(const Grid3D<float>& in, Grid3D<float>& out,
-                                  int steps, RunStats& stats,
-                                  const CancellationToken* cancel) {
-  const BlockingPlan plan = make_blocking_plan(cfg_, in.nx(), in.ny(), in.nz());
   for (std::int64_t b = 0; b < plan.total_blocks(); ++b) {
     stream_block(pes_, plan, block_extent(plan, b), in, out, steps,
                  std::span<float>(vec_a_), std::span<float>(vec_b_), stats,
-                 cancel);
+                 cancel, store);
   }
 }
 

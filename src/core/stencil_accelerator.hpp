@@ -18,7 +18,10 @@
 // via StarStencil, box stencils via make_box_stencil, or custom shapes).
 // One `run_pass` advances the grid by up to `partime` time steps; `run`
 // chains ceil(iterations / partime) passes, disabling trailing PEs
-// (delay-only pass-through) on the final partial pass.
+// (delay-only pass-through) on the final partial pass. `run_into` is the
+// same chain from an input grid to a separate output, whose last pass
+// stores with a StoreOp (how program nodes retire straight into their
+// destination field); the in-place `run` shares it (core/pass_chain.hpp).
 //
 // The output is bit-exact against the naive reference (`reference_run`)
 // for any configuration and grid size: the integration test suite pins
@@ -33,9 +36,12 @@
 #include "pipeline/processing_element.hpp"
 #include "stencil/accel_config.hpp"
 #include "stencil/star_stencil.hpp"
+#include "stencil/store_op.hpp"
 #include "stencil/tap_set.hpp"
 
 namespace fpga_stencil {
+
+class BufferPool;
 
 /// Execution statistics of one `run` call, in the zero-stall pipeline model
 /// (one vector per cycle). The performance model layers memory-controller
@@ -121,16 +127,44 @@ class StencilAccelerator {
                std::vector<float>* scratch = nullptr,
                const CancellationToken* cancel = nullptr);
 
+  /// Advances `in` by `iterations` time steps and stores the result into
+  /// `out` (same extents, another buffer) with `store`; `store.prev` may
+  /// be `out` itself. Passes before the last run over spare grids leased
+  /// from `pool` (a private pool when null); only the last pass touches
+  /// `out`. `iterations` must be positive. A tripped `cancel` token
+  /// throws with `in` untouched and `out` unspecified.
+  RunStats run_into(const Grid2D<float>& in, Grid2D<float>& out,
+                    int iterations, const StoreOp& store,
+                    BufferPool* pool = nullptr,
+                    const CancellationToken* cancel = nullptr);
+  RunStats run_into(const Grid3D<float>& in, Grid3D<float>& out,
+                    int iterations, const StoreOp& store,
+                    BufferPool* pool = nullptr,
+                    const CancellationToken* cancel = nullptr);
+
   /// The configuration as actually executed (stage_lag resolved).
   [[nodiscard]] const AcceleratorConfig& config() const { return cfg_; }
   [[nodiscard]] const TapSet& taps() const { return taps_; }
 
  private:
   /// One pass of `steps <= partime` time steps over the whole grid.
-  void run_pass(const Grid2D<float>& in, Grid2D<float>& out, int steps,
-                RunStats& stats, const CancellationToken* cancel);
-  void run_pass(const Grid3D<float>& in, Grid3D<float>& out, int steps,
-                RunStats& stats, const CancellationToken* cancel);
+  template <typename GridT>
+  void run_pass(const GridT& in, GridT& out, int steps, RunStats& stats,
+                const CancellationToken* cancel, const StoreOp& store);
+
+  /// The pass chain from `in` to `out` (core/pass_chain.hpp).
+  template <typename GridT>
+  RunStats run_chain(const GridT& in, GridT& out, GridT* spare0,
+                     GridT* spare1, int iterations, const StoreOp& store,
+                     const GridT*& done, const CancellationToken* cancel);
+  template <typename GridT>
+  RunStats run_in_place(GridT& grid, int iterations,
+                        std::vector<float>* scratch,
+                        const CancellationToken* cancel);
+  template <typename GridT>
+  RunStats run_into_impl(const GridT& in, GridT& out, int iterations,
+                         const StoreOp& store, BufferPool* pool,
+                         const CancellationToken* cancel);
 
   TapSet taps_;
   AcceleratorConfig cfg_;

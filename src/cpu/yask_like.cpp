@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/stopwatch.hpp"
 #include "stencil/characteristics.hpp"
@@ -159,6 +161,47 @@ PackedTaps pack_taps_3d(const TapSet& taps, std::int64_t pitch_x,
   return t;
 }
 
+/// Cells [x0, x1) of one output row: acc = c0*t0; acc += ct*tt per cell,
+/// in tap order. Taps run outer over fixed-width strips of accumulators,
+/// so every strip loop is a plain vectorizable loop.
+void stencil_row(const float* row, float* orow, std::int64_t x0,
+                 std::int64_t x1, const PackedTaps& taps) {
+  constexpr std::int64_t kStrip = 64;
+  const float* cf = taps.coeffs.data();
+  const std::int64_t* off = taps.offsets.data();
+  const std::size_t ntaps = taps.coeffs.size();
+  float acc[kStrip];
+  for (std::int64_t xs = x0; xs < x1; xs += kStrip) {
+    const std::int64_t n = std::min(kStrip, x1 - xs);
+    const float* r0 = row + xs + off[0];
+    for (std::int64_t i = 0; i < n; ++i) acc[i] = cf[0] * r0[i];
+    for (std::size_t t = 1; t < ntaps; ++t) {
+      const float c = cf[t];
+      const float* rt = row + xs + off[t];
+      for (std::int64_t i = 0; i < n; ++i) acc[i] += c * rt[i];
+    }
+    std::copy(acc, acc + n, orow + xs);
+  }
+}
+
+/// Runs body(b) for every block b in [0, blocks) on up to
+/// hardware_concurrency threads, each over one contiguous run of blocks:
+/// the static partition (the first blocks % threads runs one longer).
+template <typename Body>
+void for_each_block(std::int64_t blocks, const Body& body) {
+  const std::int64_t threads = std::min<std::int64_t>(
+      blocks, std::max(1u, std::thread::hardware_concurrency()));
+  const auto run = [&](std::int64_t t) {
+    const std::int64_t q = blocks / threads, r = blocks % threads;
+    const std::int64_t lo = t * q + std::min(t, r);
+    const std::int64_t hi = lo + q + (t < r ? 1 : 0);
+    for (std::int64_t b = lo; b < hi; ++b) body(b);
+  };
+  std::vector<std::jthread> pool;
+  for (std::int64_t t = 1; t < threads; ++t) pool.emplace_back(run, t);
+  if (threads > 0) run(0);
+}
+
 }  // namespace
 
 YaskLikeStencil2D::YaskLikeStencil2D(const StarStencil& stencil)
@@ -180,29 +223,17 @@ void YaskLikeStencil2D::step(const PaddedGrid2D& in, PaddedGrid2D& out,
   const PackedTaps taps = pack_taps_2d(taps_, pitch);
   const float* src = in.interior();
   float* dst = out.interior();
-  const int ntaps = static_cast<int>(taps.coeffs.size());
-  const float* cf = taps.coeffs.data();
-  const std::int64_t* off = taps.offsets.data();
 
   const std::int64_t nby = (ny + by - 1) / by;
   const std::int64_t nbx = (nx + bx - 1) / bx;
-#pragma omp parallel for collapse(2) schedule(static)
-  for (std::int64_t jb = 0; jb < nby; ++jb) {
-    for (std::int64_t ib = 0; ib < nbx; ++ib) {
-      const std::int64_t y0 = jb * by, y1 = std::min(ny, y0 + by);
-      const std::int64_t x0 = ib * bx, x1 = std::min(nx, x0 + bx);
-      for (std::int64_t y = y0; y < y1; ++y) {
-        const float* row = src + y * pitch;
-        float* orow = dst + y * pitch;
-#pragma omp simd
-        for (std::int64_t x = x0; x < x1; ++x) {
-          float acc = cf[0] * row[x + off[0]];
-          for (int t = 1; t < ntaps; ++t) acc += cf[t] * row[x + off[t]];
-          orow[x] = acc;
-        }
-      }
+  for_each_block(nby * nbx, [&](std::int64_t b) {
+    const std::int64_t jb = b / nbx, ib = b % nbx;
+    const std::int64_t y0 = jb * by, y1 = std::min(ny, y0 + by);
+    const std::int64_t x0 = ib * bx, x1 = std::min(nx, x0 + bx);
+    for (std::int64_t y = y0; y < y1; ++y) {
+      stencil_row(src + y * pitch, dst + y * pitch, x0, x1, taps);
     }
-  }
+  });
 }
 
 CpuRunResult YaskLikeStencil2D::run(Grid2D<float>& grid, int iterations,
@@ -270,31 +301,20 @@ void YaskLikeStencil3D::step(const PaddedGrid3D& in, PaddedGrid3D& out,
   const PackedTaps taps = pack_taps_3d(taps_, px, py);
   const float* src = in.interior();
   float* dst = out.interior();
-  const int ntaps = static_cast<int>(taps.coeffs.size());
-  const float* cf = taps.coeffs.data();
-  const std::int64_t* off = taps.offsets.data();
 
   const std::int64_t nbz = (nz + bz - 1) / bz;
   const std::int64_t nby = (ny + by - 1) / by;
-#pragma omp parallel for collapse(2) schedule(static)
-  for (std::int64_t kb = 0; kb < nbz; ++kb) {
-    for (std::int64_t jb = 0; jb < nby; ++jb) {
-      const std::int64_t z0 = kb * bz, z1 = std::min(nz, z0 + bz);
-      const std::int64_t y0 = jb * by, y1 = std::min(ny, y0 + by);
-      for (std::int64_t z = z0; z < z1; ++z) {
-        for (std::int64_t y = y0; y < y1; ++y) {
-          const float* row = src + (z * py + y) * px;
-          float* orow = dst + (z * py + y) * px;
-#pragma omp simd
-          for (std::int64_t x = 0; x < nx; ++x) {
-            float acc = cf[0] * row[x + off[0]];
-            for (int t = 1; t < ntaps; ++t) acc += cf[t] * row[x + off[t]];
-            orow[x] = acc;
-          }
-        }
+  for_each_block(nbz * nby, [&](std::int64_t b) {
+    const std::int64_t kb = b / nby, jb = b % nby;
+    const std::int64_t z0 = kb * bz, z1 = std::min(nz, z0 + bz);
+    const std::int64_t y0 = jb * by, y1 = std::min(ny, y0 + by);
+    for (std::int64_t z = z0; z < z1; ++z) {
+      for (std::int64_t y = y0; y < y1; ++y) {
+        const std::int64_t r = (z * py + y) * px;
+        stencil_row(src + r, dst + r, 0, nx, taps);
       }
     }
-  }
+  });
 }
 
 CpuRunResult YaskLikeStencil3D::run(Grid3D<float>& grid, int iterations,

@@ -7,8 +7,11 @@
 //     padded grids replicate the border into a radius-wide halo, which
 //     under the paper's clamp boundary condition yields results bit-exact
 //     with the naive reference,
-//   * spatial cache blocking with a vectorizable (simd) inner x loop,
-//   * OpenMP parallelization over blocks,
+//   * spatial cache blocking with a vectorizable inner x loop (taps outer
+//     over fixed-width strips of accumulators),
+//   * parallelization over blocks: one std::thread per core, each over a
+//     contiguous run of blocks (OpenMP's static schedule, without the
+//     runtime, which thread sanitizers cannot see into),
 //   * a built-in auto-tuner that times candidate block sizes and picks the
 //     best (YASK's automatic tuning step).
 //
@@ -123,7 +126,7 @@ struct CpuRunResult {
   CpuBlockSize block;    ///< the block size used
 };
 
-/// Blocked, vectorized, OpenMP-parallel stencil executor.
+/// Blocked, vectorized, multithreaded stencil executor.
 class YaskLikeStencil2D {
  public:
   explicit YaskLikeStencil2D(const StarStencil& stencil);

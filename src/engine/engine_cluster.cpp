@@ -211,11 +211,6 @@ JobHandle EngineCluster::submit(JobSpec spec) {
   }
 }
 
-JobResult EngineCluster::run(JobSpec spec) {
-  JobHandle handle = submit(std::move(spec));
-  return std::move(handle.wait());
-}
-
 StencilEngine& EngineCluster::shard(int k) {
   FPGASTENCIL_EXPECT(k >= 0 && k < options_.shards, "shard out of range");
   std::lock_guard<std::mutex> lock(shards_mu_);

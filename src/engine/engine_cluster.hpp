@@ -110,17 +110,6 @@ class EngineCluster {
   /// admission, EngineStoppedError when no shard is available.
   JobHandle submit(JobSpec spec);
 
-  /// Synchronous convenience: submit + wait. Rethrows the job's error.
-  /// Deprecated for one release (the PR 8/9 shim convention): submit()
-  /// is the one front door, and everything the serving tier defines --
-  /// QoS, quotas, chunk sinks, program jobs with multi-field results --
-  /// is specified in terms of the handle that submit() returns. Spell it
-  /// `JobHandle h = cluster.submit(std::move(spec)); h.wait();`.
-  [[deprecated(
-      "use submit() + JobHandle::wait(); run() is removed next "
-      "release")]] JobResult
-  run(JobSpec spec);
-
   /// Routes new work away from shard k, then blocks until everything it
   /// accepted finished. The shard stays out of rotation (reload_shard
   /// brings it back). Safe under concurrent submissions: a job racing

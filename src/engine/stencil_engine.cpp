@@ -386,7 +386,7 @@ void StencilEngine::execute(detail::JobState& job, int worker_id) {
       // the executor's, and ConfigErrors say nothing about backends).
       ProgramOutcome outcome = exec.run(*spec.program, &job.token, worker_id);
       JobResult result;
-      result.backend = spec.backend;  // per-node routing may differ
+      result.backend = outcome.backend;
       result.plan_cache_hit = outcome.all_plans_cached;
       result.plan_tuned = outcome.any_plan_tuned;
       result.kernel_fingerprint = outcome.fingerprint;

@@ -182,4 +182,17 @@ class Grid3D {
   std::vector<T> data_;
 };
 
+/// A grid with `like`'s extents over `storage`, adopted as the
+/// constructors above do (so an empty vector allocates).
+template <typename T>
+[[nodiscard]] Grid2D<T> grid_over(const Grid2D<T>& like,
+                                  std::vector<T>&& storage) {
+  return Grid2D<T>(like.nx(), like.ny(), std::move(storage));
+}
+template <typename T>
+[[nodiscard]] Grid3D<T> grid_over(const Grid3D<T>& like,
+                                  std::vector<T>&& storage) {
+  return Grid3D<T>(like.nx(), like.ny(), like.nz(), std::move(storage));
+}
+
 }  // namespace fpga_stencil

@@ -108,12 +108,15 @@ bool matches_canonical_box(const TapSet& taps) {
 }
 
 KernelArgs SpecializedKernel::args(const float* coeffs,
-                                   const BoundaryCondition& bc) const {
+                                   const BoundaryCondition& bc,
+                                   const StoreOp& store) const {
   FPGASTENCIL_EXPECT(shape != StencilShape::kTable || table != nullptr,
                      "runtime-table kernel called without a bound table");
   FPGASTENCIL_EXPECT(bc.kind != BoundaryKind::periodic,
                      "specialized kernels do not run periodic boundaries");
-  return KernelArgs{coeffs, table, bc};
+  FPGASTENCIL_EXPECT(!store.is_add() || store.prev != nullptr,
+                     "an add store needs a prev buffer");
+  return KernelArgs{coeffs, table, bc, store};
 }
 
 void SpecializedKernel::run_2d(const BlockingPlan& plan,
@@ -121,8 +124,9 @@ void SpecializedKernel::run_2d(const BlockingPlan& plan,
                                Grid2D<float>& out, int steps,
                                const float* coeffs, RunStats& stats,
                                const CancellationToken* cancel,
-                               const BoundaryCondition& bc) const {
-  fn_2d(plan, blk, in, out, steps, args(coeffs, bc), stats, cancel);
+                               const BoundaryCondition& bc,
+                               const StoreOp& store) const {
+  fn_2d(plan, blk, in, out, steps, args(coeffs, bc, store), stats, cancel);
 }
 
 void SpecializedKernel::run_3d(const BlockingPlan& plan,
@@ -130,8 +134,9 @@ void SpecializedKernel::run_3d(const BlockingPlan& plan,
                                Grid3D<float>& out, int steps,
                                const float* coeffs, RunStats& stats,
                                const CancellationToken* cancel,
-                               const BoundaryCondition& bc) const {
-  fn_3d(plan, blk, in, out, steps, args(coeffs, bc), stats, cancel);
+                               const BoundaryCondition& bc,
+                               const StoreOp& store) const {
+  fn_3d(plan, blk, in, out, steps, args(coeffs, bc, store), stats, cancel);
 }
 
 void KernelRegistry::add_entry(StencilShape shape, int dims, int radius,

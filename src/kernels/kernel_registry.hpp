@@ -68,21 +68,25 @@ struct SpecializedKernel {
   const KernelTapTable* table = nullptr;
 
   /// One block pass (see run_specialized). `coeffs` are in the matched
-  /// tap set's order; `bc` is any boundary but periodic.
+  /// tap set's order; `bc` is any boundary but periodic; `store` says how
+  /// retired cells land in `out`.
   void run_2d(const BlockingPlan& plan, const BlockExtent& blk,
               const Grid2D<float>& in, Grid2D<float>& out, int steps,
               const float* coeffs, RunStats& stats,
               const CancellationToken* cancel,
-              const BoundaryCondition& bc = {}) const;
+              const BoundaryCondition& bc = {},
+              const StoreOp& store = {}) const;
   void run_3d(const BlockingPlan& plan, const BlockExtent& blk,
               const Grid3D<float>& in, Grid3D<float>& out, int steps,
               const float* coeffs, RunStats& stats,
               const CancellationToken* cancel,
-              const BoundaryCondition& bc = {}) const;
+              const BoundaryCondition& bc = {},
+              const StoreOp& store = {}) const;
 
  private:
   [[nodiscard]] KernelArgs args(const float* coeffs,
-                                const BoundaryCondition& bc) const;
+                                const BoundaryCondition& bc,
+                                const StoreOp& store) const;
 };
 
 /// True when `taps` is exactly the canonical star order for its (dims,

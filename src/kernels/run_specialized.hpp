@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "stencil/accel_config.hpp"
+#include "stencil/store_op.hpp"
 #include "stencil/tap_set.hpp"
 
 namespace fpga_stencil {
@@ -93,13 +94,16 @@ struct KernelArgs {
   const float* coeffs = nullptr;          ///< one per tap, accumulation order
   const KernelTapTable* table = nullptr;  ///< kTable kernels only
   BoundaryCondition boundary;             ///< clamp, reflective or dirichlet
+  StoreOp store;  ///< how the last stage retires each cell into `out`
 };
 
 template <int Dims>
 using GridOf = std::conditional_t<Dims == 3, Grid3D<float>, Grid2D<float>>;
 
 /// Runs one block pass of `steps` (<= cfg.partime) time steps over `blk`,
-/// retiring the block's valid compute region into `out`. Stats
+/// storing the block's valid compute region into `out` with
+/// `args.store` (and nothing else: neighbouring blocks write the rest of
+/// `out` concurrently under block_parallel). Stats
 /// accounting matches the interpreter field for field (cells_streamed,
 /// vectors_processed, block_passes, cells_written), and a non-null
 /// `cancel` token is polled once per streamed plane/row -- at least as

@@ -16,12 +16,20 @@
 //
 //   for z in [0, nz + steps*Rad):          // streamed dim + pipeline drain
 //     read  : load input plane z into stage 0's window, fill its ghosts
-//     update: for k = 1..steps, plane p = z - k*Rad of stage k becomes
+//     update: for k = 1..steps-1, plane p = z - k*Rad of stage k becomes
 //             computable (its +Rad source in stage k-1 just landed);
 //             compute it row by row from stage k-1's window, fill its
 //             ghosts
-//     write : plane z - steps*Rad of stage `steps` is final; retire its
-//             valid compute region into `out`
+//     store : plane z - steps*Rad of stage `steps` is final; compute its
+//             retired region straight into `out`, row by row, with the
+//             store op (assign: the result; add: prev + result)
+//
+// The last stage has no window and no ghost fill (nothing reads it): it
+// covers exactly the block's retired span [w_lo, w_hi) -- never a span
+// widened to whole ParVec chunks, because the cells past it belong to
+// neighbouring blocks, which write `out` concurrently under
+// block_parallel. The store op is picked per row inside the one
+// instantiation, so both ops share each entry's code.
 //
 // Per cell the arithmetic is the interpreter's exactly: taps accumulate
 // in tap-set order (acc = c0*t0; acc += ct*tt) and only in-grid centers
@@ -70,8 +78,8 @@
 // So stage k computes only that span, clipped to the in-grid cells (x is
 // widened to whole ParVec chunks inside the in-grid span, so no chunk is
 // split into a scalar tail; y rows are not widened), and stage `steps`
-// computes just the retired region. Every cell inside the cone is
-// computed from genuinely loaded input with the exact interpreter
+// computes just the retired region, into `out`. Every cell inside the
+// cone is computed from genuinely loaded input with the exact interpreter
 // arithmetic; everything outside -- stale window values, the zeroed
 // padding at block edges inside the grid where the interpreter's ring
 // reads wrapped rows -- is don't-care for both implementations. The cone
@@ -177,14 +185,16 @@ struct LaneVec<8> {
 
 /// Cells [lo, hi) of one output row: `taps[t] + off` points at block-local
 /// x == 0 of tap t's source row, already shifted by the tap's dx. Each
-/// ParVec chunk accumulates in ParVec / Lanes registers. Always inlined,
-/// so it compiles for the ISA of the block pass it sits in.
-template <int Lanes, int ParVec, typename Count>
+/// ParVec chunk accumulates in ParVec / Lanes registers. With `Add`, each
+/// cell stores `prev[x] + acc` (prev first, as StoreOp documents). Always
+/// inlined, so it compiles for the ISA of the block pass it sits in.
+template <int Lanes, int ParVec, bool Add, typename Count>
 [[gnu::always_inline]] inline void compute_row(float* dst, std::int64_t lo,
                                                std::int64_t hi,
                                                const float* const* taps,
                                                std::int64_t off,
-                                               const float* cf, Count n) {
+                                               const float* cf, Count n,
+                                               const float* prev) {
   using V = typename LaneVec<Lanes>::type;
   constexpr int kRegs = ParVec / Lanes;
   static_assert(kRegs * Lanes == ParVec && sizeof(V) == Lanes * sizeof(float));
@@ -206,13 +216,38 @@ template <int Lanes, int ParVec, typename Count>
       }
     }
     for (int v = 0; v < kRegs; ++v) {
+      if constexpr (Add) {
+        V p;
+        std::memcpy(&p, prev + x + v * Lanes, sizeof(V));
+        acc[v] = p + acc[v];
+      }
       std::memcpy(dst + x + v * Lanes, &acc[v], sizeof(V));
     }
   }
   for (; x < hi; ++x) {  // chunk remainder: the same op sequence, scalar
     float acc = cf[0] * taps[0][off + x];
     for (int t = 1; t < n; ++t) acc += cf[t] * taps[t][off + x];
+    if constexpr (Add) acc = prev[x] + acc;
     dst[x] = acc;
+  }
+}
+
+/// The last stage's row: cells [0, n) of `dst`, the retired span of one
+/// output row, stored with `store`; `cell` is dst's index in the output
+/// grid, which `store.prev` shares. The op is picked per row.
+template <int Lanes, int ParVec, typename Count>
+[[gnu::always_inline]] inline void store_row(float* dst, std::int64_t n,
+                                             const float* const* taps,
+                                             std::int64_t off,
+                                             const float* cf, Count count,
+                                             const StoreOp& store,
+                                             std::int64_t cell) {
+  if (store.is_add()) {
+    compute_row<Lanes, ParVec, true>(dst, 0, n, taps, off, cf, count,
+                                     store.prev + cell);
+  } else {
+    compute_row<Lanes, ParVec, false>(dst, 0, n, taps, off, cf, count,
+                                      nullptr);
   }
 }
 
@@ -331,9 +366,10 @@ template <int Rad, int ParVec, int Lanes, typename Count>
   const std::int64_t x0 = blk.x0;
   const std::int64_t prow = bx + 2 * Rad;  // padded row stride
 
+  // Windows for stages 0 .. steps-1; the last stage stores into `out`.
   KernelWorkspace& ws = tls_kernel_workspace();
   const std::size_t windows =
-      std::size_t(steps + 1) * std::size_t(W) * std::size_t(prow);
+      std::size_t(steps) * std::size_t(W) * std::size_t(prow);
   float* base = ws.ensure(windows + std::size_t(prow));
   std::fill(base, base + windows, 0.0f);
   // Dirichlet: every tap past the streamed edge reads this constant row.
@@ -355,10 +391,10 @@ template <int Rad, int ParVec, int Lanes, typename Count>
   const std::int64_t wx_lo = halo;
   const std::int64_t wx_hi =
       std::min(halo + cfg.csize_x(), blk.valid_x_end - x0);
-  // The x cells stage k computes: its influence cone (see above). Worked
-  // out once per block: recomputing it per row cost 2-tap rows ~10%.
-  std::vector<Span> stage_x(std::size_t(steps) + 1);
-  for (int k = 1; k <= steps; ++k) {
+  // The x cells stage k < steps computes: its influence cone (see above).
+  // Worked out once per block: recomputing it per row cost 2-tap rows ~10%.
+  std::vector<Span> stage_x(static_cast<std::size_t>(steps));
+  for (int k = 1; k < steps; ++k) {
     stage_x[std::size_t(k)] = whole_chunks<ParVec>(
         cone(wx_lo, wx_hi, std::int64_t(steps - k) * Rad, ex), ex);
   }
@@ -388,19 +424,20 @@ template <int Rad, int ParVec, int Lanes, typename Count>
       for (int t = 0; t < taps.count; ++t) {
         tp[t] = src[std::size_t(taps.dy[t] + Rad)] + taps.dx[t];
       }
-      float* dst = content(k, r);
-      const Span xs = stage_x[std::size_t(k)];
-      compute_row<Lanes, ParVec>(dst, xs.lo, xs.hi, tp, 0, args.coeffs,
-                                 taps.count);
-      fill_row_ghosts<Rad>(dst, ex, bc);
+      if (k < steps) {
+        float* dst = content(k, r);
+        const Span xs = stage_x[std::size_t(k)];
+        compute_row<Lanes, ParVec, false>(dst, xs.lo, xs.hi, tp, 0,
+                                          args.coeffs, taps.count, nullptr);
+        fill_row_ghosts<Rad>(dst, ex, bc);
+      } else if (wx_hi > wx_lo) {
+        // --- store: the finished row's retired span, into `out` ---
+        float* dst = &out.at(x0 + wx_lo, r);
+        store_row<Lanes, ParVec>(dst, wx_hi - wx_lo, tp, wx_lo, args.coeffs,
+                                 taps.count, args.store, dst - out.data());
+        stats.cells_written += wx_hi - wx_lo;
+      }
     }
-
-    // --- write: retire the finished row ---
-    const std::int64_t wout = y - std::int64_t(steps) * Rad;
-    if (wout < 0 || wout >= ny || wx_hi <= wx_lo) continue;
-    std::memcpy(&out.at(x0 + wx_lo, wout), content(steps, wout) + wx_lo,
-                std::size_t(wx_hi - wx_lo) * sizeof(float));
-    stats.cells_written += wx_hi - wx_lo;
   }
 
   stats.cells_streamed += plan.cells_streamed_per_pass;
@@ -425,9 +462,10 @@ template <int Rad, int ParVec, int Lanes, typename Count>
   const std::int64_t plane_cells = prow * (by + 2 * Rad);
   const std::int64_t pad = Rad * prow + Rad;  // plane start -> (0, 0)
 
+  // Windows for stages 0 .. steps-1; the last stage stores into `out`.
   KernelWorkspace& ws = tls_kernel_workspace();
   const std::size_t windows =
-      std::size_t(steps + 1) * std::size_t(W) * std::size_t(plane_cells);
+      std::size_t(steps) * std::size_t(W) * std::size_t(plane_cells);
   float* base = ws.ensure(windows + std::size_t(plane_cells));
   std::fill(base, base + windows, 0.0f);
   // Dirichlet: every tap past the streamed edge reads this constant plane.
@@ -453,10 +491,10 @@ template <int Rad, int ParVec, int Lanes, typename Count>
   const std::int64_t wy_lo = halo;
   const std::int64_t wy_hi =
       std::min(halo + cfg.csize_y(), blk.valid_y_end - y0);
-  // The x cells and y rows stage k computes: its influence cone.
-  std::vector<Span> stage_x(std::size_t(steps) + 1);
-  std::vector<Span> stage_y(std::size_t(steps) + 1);
-  for (int k = 1; k <= steps; ++k) {
+  // The x cells and y rows stage k < steps computes: its influence cone.
+  std::vector<Span> stage_x(static_cast<std::size_t>(steps));
+  std::vector<Span> stage_y(static_cast<std::size_t>(steps));
+  for (int k = 1; k < steps; ++k) {
     const std::int64_t reach = std::int64_t(steps - k) * Rad;
     stage_x[std::size_t(k)] =
         whole_chunks<ParVec>(cone(wx_lo, wx_hi, reach, ex), ex);
@@ -493,27 +531,28 @@ template <int Rad, int ParVec, int Lanes, typename Count>
         tp[t] = src[std::size_t(taps.dz[t] + Rad)] + taps.dy[t] * prow +
                 taps.dx[t];
       }
-      float* o = origin(k, p);
-      const Span xs = stage_x[std::size_t(k)];
-      const Span ys = stage_y[std::size_t(k)];
-      for (std::int64_t y_rel = ys.lo; y_rel < ys.hi; ++y_rel) {
-        float* dst = o + y_rel * prow;
-        compute_row<Lanes, ParVec>(dst, xs.lo, xs.hi, tp, y_rel * prow,
-                                   args.coeffs, taps.count);
-        fill_row_ghosts<Rad>(dst, ex, bc);
+      if (k < steps) {
+        float* o = origin(k, p);
+        const Span xs = stage_x[std::size_t(k)];
+        const Span ys = stage_y[std::size_t(k)];
+        for (std::int64_t y_rel = ys.lo; y_rel < ys.hi; ++y_rel) {
+          float* dst = o + y_rel * prow;
+          compute_row<Lanes, ParVec, false>(dst, xs.lo, xs.hi, tp,
+                                            y_rel * prow, args.coeffs,
+                                            taps.count, nullptr);
+          fill_row_ghosts<Rad>(dst, ex, bc);
+        }
+        fill_plane_ghosts<Rad>(o, prow, ey, bc);
+      } else if (wx_hi > wx_lo) {
+        // --- store: the finished plane's retired region, into `out` ---
+        for (std::int64_t y_rel = wy_lo; y_rel < wy_hi; ++y_rel) {
+          float* dst = &out.at(x0 + wx_lo, y0 + y_rel, p);
+          store_row<Lanes, ParVec>(dst, wx_hi - wx_lo, tp,
+                                   y_rel * prow + wx_lo, args.coeffs,
+                                   taps.count, args.store, dst - out.data());
+          stats.cells_written += wx_hi - wx_lo;
+        }
       }
-      fill_plane_ghosts<Rad>(o, prow, ey, bc);
-    }
-
-    // --- write: retire the finished plane ---
-    const std::int64_t pout = z - std::int64_t(steps) * Rad;
-    if (pout < 0 || pout >= nz || wx_hi <= wx_lo) continue;
-    const float* o = origin(steps, pout);
-    for (std::int64_t y_rel = wy_lo; y_rel < wy_hi; ++y_rel) {
-      std::memcpy(&out.at(x0 + wx_lo, y0 + y_rel, pout),
-                  o + y_rel * prow + wx_lo,
-                  std::size_t(wx_hi - wx_lo) * sizeof(float));
-      stats.cells_written += wx_hi - wx_lo;
     }
   }
 

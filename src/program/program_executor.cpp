@@ -1,13 +1,15 @@
 #include "program/program_executor.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
-#include <type_traits>
 #include <utility>
 
 #include "common/cancellation.hpp"
 #include "common/expect.hpp"
 #include "core/block_parallel_accelerator.hpp"
+#include "grid/leased_grid.hpp"
+#include "kernels/pointwise.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tune/host_autotuner.hpp"
 
@@ -15,9 +17,11 @@ namespace fpga_stencil {
 namespace {
 
 /// Everything resolved once per node before the timestep loop starts:
-/// the boundary-stamped taps, the plan's config with the node's telemetry
-/// hook restored, and the routed backend. Reused across all steps, so
-/// plan-cache/tuner accounting ticks once per node per program run.
+/// the boundary-stamped taps and, for a windowed node, the plan's config
+/// with the node's telemetry hook restored and the routed backend. Reused
+/// across all steps, so plan-cache/tuner accounting ticks once per
+/// windowed node per program run. A pointwise node runs as a map and
+/// resolves no plan.
 struct ResolvedNode {
   // TapSet has no default ctor; the placeholder is overwritten by
   // stamped_taps before any use.
@@ -25,17 +29,23 @@ struct ResolvedNode {
   AcceleratorConfig cfg;
   std::shared_ptr<const CachedPlan> plan;
   ExecutionBackend backend = ExecutionBackend::sync_sim;
+  bool pointwise = false;
   int in_field = 0;
   int out_field = 0;
 };
 
-/// Per-field runtime state. front/back are pool leases so every byte a
+/// One field's step state: `front` holds the step-start value, `back`
+/// collects this step's writes. Both are pool leases, so every byte a
 /// program touches comes from (and returns to) the engine's BufferPool.
-struct FieldState {
-  std::unique_ptr<BufferPool::Lease> front;
-  std::unique_ptr<BufferPool::Lease> back;
+template <typename GridT>
+struct FieldBuffers {
+  FieldBuffers(BufferPool& pool, const GridT& init)
+      : front(pool, init), back(pool, init) {
+    std::copy(init.data(), init.data() + init.size(), front.grid().data());
+  }
+  LeasedGrid<GridT> front;
+  LeasedGrid<GridT> back;
   bool written = false;
-  std::int64_t nx = 0, ny = 0, nz = 1, cells = 0;
 };
 
 }  // namespace
@@ -100,83 +110,128 @@ ExecutionBackend ProgramExecutor::route(const CachedPlan& plan) const {
 
 namespace {
 
-/// `scratch` donates the executor's ping-pong storage; null leases it
-/// from the pool for the call.
 template <typename GridT>
 RunStats run_planned_impl(const ProgramExecutor::Services& services,
                           const TapSet& taps, const AcceleratorConfig& cfg,
                           ExecutionBackend backend, GridT& grid,
                           int iterations, const CancellationToken* token,
-                          const NodeRunOptions& opts,
-                          std::vector<float>* scratch = nullptr) {
+                          const NodeRunOptions& opts) {
   FPGASTENCIL_EXPECT(backend == ExecutionBackend::sync_sim ||
                          backend == ExecutionBackend::block_parallel,
                      "run_planned handles the single-board backends only");
-  std::optional<BufferPool::Lease> lease;
-  if (scratch == nullptr) {
-    lease.emplace(*services.pool, grid.size());
-    scratch = &lease->buffer();
-  }
+  BufferPool::Lease scratch(*services.pool, grid.size());
   if (backend == ExecutionBackend::block_parallel) {
     RunOptions ropts;
     ropts.workers = services.workers;
     ropts.injector = opts.injector;
     ropts.watchdog_deadline = opts.watchdog_deadline;
-    ropts.scratch = scratch;
+    ropts.scratch = &scratch.buffer();
     ropts.pool = services.pool;  // per-worker lane scratch
     if (token) ropts.cancel = *token;
     return run_block_parallel(taps, cfg, grid, iterations, ropts);
   }
   StencilAccelerator accel(taps, cfg);
-  return accel.run(grid, iterations, scratch, token);
+  return accel.run(grid, iterations, &scratch.buffer(), token);
 }
 
-template <typename GridT>
-GridT field_grid(const FieldState& shape, std::vector<float> storage) {
-  if constexpr (std::is_same_v<GridT, Grid3D<float>>) {
-    return GridT(shape.nx, shape.ny, shape.nz, std::move(storage));
-  } else {
-    return GridT(shape.nx, shape.ny, std::move(storage));
-  }
-}
-
-/// Advances one node's input `src` (a field buffer) into `work`. The
-/// first pass streams straight out of `src`: its storage is lent to the
-/// executor's grid with `work` as the scratch side, so the input is
-/// never copied and comes back unmodified (a pass only reads its input),
-/// on unwind too. Passes after the first ping-pong between `work` and a
-/// pooled scratch lease.
+/// Runs one windowed node: `src` (a field buffer) advanced `iterations`
+/// steps on the node's routed backend, the last pass storing into `dst`
+/// (its destination's back buffer) with `store`. A node whose input is
+/// its own destination buffer first copies the input into a pooled lease:
+/// a block's halo reads cells that neighbouring blocks of the same pass
+/// may already have stored.
 template <typename GridT>
 RunStats run_node(const ProgramExecutor::Services& services,
-                  const ResolvedNode& rn, int iterations,
-                  const FieldState& shape, std::vector<float>& src,
-                  std::vector<float>& work, const CancellationToken* token) {
-  if (iterations == 0) {  // the identity: the result is the input
-    std::copy(src.begin(), src.end(), work.begin());
-    return {};
+                  const ResolvedNode& rn, int iterations, const GridT& src,
+                  GridT& dst, const StoreOp& store,
+                  const CancellationToken* token) {
+  std::optional<LeasedGrid<GridT>> copy;
+  const GridT* in = &src;
+  if (&src == &dst) {
+    copy.emplace(*services.pool, src);
+    std::copy(src.data(), src.data() + src.size(), copy->grid().data());
+    in = &copy->grid();
   }
-  const int first = std::min(iterations, rn.cfg.partime);
-  GridT grid = field_grid<GridT>(shape, std::move(src));
-  RunStats stats;
-  try {
-    stats = run_planned_impl(services, rn.taps, rn.cfg, rn.backend, grid,
-                             first, token, NodeRunOptions(), &work);
-  } catch (...) {
-    src = grid.release_storage();  // an aborted pass never wrote it
-    throw;
+  if (rn.backend == ExecutionBackend::block_parallel) {
+    RunOptions ropts;
+    ropts.workers = services.workers;
+    ropts.pool = services.pool;  // lane and spare-grid scratch
+    if (token) ropts.cancel = *token;
+    return run_block_parallel_into(rn.taps, rn.cfg, *in, dst, iterations,
+                                   store, ropts);
   }
-  // The one pass swapped the sides: `work` holds the input, `grid` the
-  // result.
-  src = std::move(work);
-  work = grid.release_storage();
-  if (iterations > first) {
-    GridT rest = field_grid<GridT>(shape, std::move(work));
-    stats.accumulate(run_planned_impl(services, rn.taps, rn.cfg, rn.backend,
-                                      rest, iterations - first, token,
-                                      NodeRunOptions()));
-    work = rest.release_storage();
+  return StencilAccelerator(rn.taps, rn.cfg)
+      .run_into(*in, dst, iterations, store, services.pool, token);
+}
+
+/// The timestep loop over `GridT` fields: every node, in schedule order,
+/// advances its resolved input straight into its destination's back
+/// buffer; written fields swap at the end of each step.
+template <typename GridT>
+void run_steps(const ProgramExecutor::Services& services,
+               const ProgramSpec& program,
+               const std::vector<std::size_t>& order,
+               const std::vector<bool>& reads_back,
+               const std::vector<ResolvedNode>& resolved,
+               const CancellationToken* token, int worker_id,
+               ProgramOutcome& out) {
+  std::vector<std::unique_ptr<FieldBuffers<GridT>>> fields;
+  for (const FieldSpec& f : program.fields) {
+    fields.push_back(std::make_unique<FieldBuffers<GridT>>(
+        *services.pool, std::get<GridT>(f.data)));
   }
-  return stats;
+
+  Tracer& tracer = services.telemetry->tracer();
+  const std::string span_base = services.metrics_prefix + ".program.node:";
+  for (int step = 0; step < program.steps; ++step) {
+    if (token) token->throw_if_cancelled();
+    for (const std::size_t idx : order) {
+      const KernelNode& node = program.nodes[idx];
+      const ResolvedNode& rn = resolved[idx];
+      FieldBuffers<GridT>& in = *fields[std::size_t(rn.in_field)];
+      FieldBuffers<GridT>& dst = *fields[std::size_t(rn.out_field)];
+      // Hooked nodes only: the tracer keeps every event for its owner's
+      // lifetime.
+      Tracer::Span span;
+      if (node.config.telemetry) {
+        span = tracer.span(span_base + node.name, worker_id,
+                           services.metrics_prefix);
+      }
+
+      // The first writer of the step adds onto front, later ones onto
+      // back itself.
+      const GridT& src = reads_back[idx] ? in.back.grid() : in.front.grid();
+      GridT& target = dst.back.grid();
+      const GridT& prev = dst.written ? dst.back.grid() : dst.front.grid();
+      const StoreOp store = node.combine == CombineOp::add
+                                ? StoreOp::add(prev.data())
+                                : StoreOp::assign();
+      out.stats.accumulate(
+          rn.pointwise
+              ? run_pointwise(src.data(), target.data(),
+                              std::int64_t(target.size()),
+                              rn.taps.taps()[0].coeff, node.iterations, store)
+              : run_node(services, rn, node.iterations, src, target, store,
+                         token));
+      dst.written = true;
+      ++out.nodes_executed;
+    }
+    for (const auto& f : fields) {
+      if (f->written) {
+        std::swap(f->front.grid(), f->back.grid());
+        f->written = false;
+      }
+    }
+    ++out.steps_executed;
+  }
+
+  // Move the final field states out of their leases; the leases then
+  // return (empty) to the pool, keeping outstanding() balanced.
+  out.fields.reserve(program.fields.size());
+  for (std::size_t i = 0; i < program.fields.size(); ++i) {
+    out.fields.emplace_back(program.fields[i].name,
+                            std::move(fields[i]->front.grid()));
+  }
 }
 
 }  // namespace
@@ -207,110 +262,50 @@ ProgramOutcome ProgramExecutor::run(const ProgramSpec& program,
   program.validate();
   const std::vector<std::size_t> order = program.schedule();
   const std::vector<bool> reads_back = detail::reads_back_flags(program);
-  const int dims = program.dims();
 
   ProgramOutcome out;
   out.fingerprint = program.fingerprint();
 
-  std::vector<FieldState> states(program.fields.size());
-  for (std::size_t i = 0; i < program.fields.size(); ++i) {
-    const FieldSpec& f = program.fields[i];
-    FieldState& s = states[i];
-    s.nx = grid_variant_nx(f.data);
-    s.ny = grid_variant_ny(f.data);
-    s.nz = grid_variant_nz(f.data);
-    s.cells = grid_variant_cells(f.data);
-    s.front =
-        std::make_unique<BufferPool::Lease>(*services_.pool, std::size_t(s.cells));
-    s.back =
-        std::make_unique<BufferPool::Lease>(*services_.pool, std::size_t(s.cells));
-    const float* data = grid_variant_data(f.data);
-    std::copy(data, data + s.cells, s.front->buffer().data());
-  }
-
-  // Resolve every node plan once, in schedule order; the timestep loop
-  // reuses the handles, so a program run costs exactly one plan-cache
-  // lookup (and at most one autotune probe) per node, however many steps
-  // it advances.
+  // Resolve every windowed node's plan once, in schedule order; the
+  // timestep loop reuses the handles, so a program run costs exactly one
+  // plan-cache lookup (and at most one autotune probe) per node, however
+  // many steps it advances.
   std::vector<ResolvedNode> resolved(program.nodes.size());
   for (const std::size_t idx : order) {
     const KernelNode& node = program.nodes[idx];
     ResolvedNode& rn = resolved[idx];
     rn.in_field = program.field_index(node.reads);
     rn.out_field = program.field_index(node.writes);
-    const FieldState& in = states[std::size_t(rn.in_field)];
     rn.taps = program.stamped_taps(idx);
+    rn.pointwise = is_pointwise(rn.taps, node.iterations);
+    if (rn.pointwise) continue;
+    const GridVariant& in = program.fields[std::size_t(rn.in_field)].data;
     bool hit = false;
-    rn.plan =
-        resolve_plan(rn.taps, node.config, in.nx, in.ny, in.nz, token, &hit);
+    rn.plan = resolve_plan(rn.taps, node.config, grid_variant_nx(in),
+                           grid_variant_ny(in), grid_variant_nz(in), token,
+                           &hit);
     out.all_plans_cached = out.all_plans_cached && hit;
     out.any_plan_tuned = out.any_plan_tuned || rn.plan->tuned;
     // The cached config is hook-free; restore the node's telemetry hook.
     rn.cfg = rn.plan->config;
     rn.cfg.telemetry = node.config.telemetry;
     rn.backend = route(*rn.plan);
+    if (rn.backend == ExecutionBackend::block_parallel) {
+      out.backend = ExecutionBackend::block_parallel;
+    }
   }
 
-  Tracer& tracer = services_.telemetry->tracer();
-  const std::string span_base = m("program.node") + ":";
-  for (int step = 0; step < program.steps; ++step) {
-    if (token) token->throw_if_cancelled();
-    for (const std::size_t idx : order) {
-      const KernelNode& node = program.nodes[idx];
-      const ResolvedNode& rn = resolved[idx];
-      FieldState& in = states[std::size_t(rn.in_field)];
-      FieldState& dst = states[std::size_t(rn.out_field)];
-      // Hooked nodes only: the tracer keeps every event for its owner's
-      // lifetime.
-      Tracer::Span span;
-      if (rn.cfg.telemetry) {
-        span = tracer.span(span_base + node.name, worker_id,
-                           services_.metrics_prefix);
-      }
-
-      // Advance the resolved input into a pooled work buffer.
-      BufferPool::Lease work(*services_.pool, std::size_t(in.cells));
-      std::vector<float>& src =
-          (reads_back[idx] ? in.back : in.front)->buffer();
-      out.stats.accumulate(
-          dims == 2 ? run_node<Grid2D<float>>(services_, rn, node.iterations,
-                                              in, src, work.buffer(), token)
-                    : run_node<Grid3D<float>>(services_, rn, node.iterations,
-                                              in, src, work.buffer(), token));
-      detail::combine_field(node.combine, dst.written,
-                            dst.front->buffer().data(), work.buffer().data(),
-                            dst.back->buffer().data(), dst.cells);
-      dst.written = true;
-      ++out.nodes_executed;
-    }
-    for (FieldState& s : states) {
-      if (s.written) {
-        std::swap(s.front, s.back);
-        s.written = false;
-      }
-    }
-    ++out.steps_executed;
+  if (program.dims() == 2) {
+    run_steps<Grid2D<float>>(services_, program, order, reads_back, resolved,
+                             token, worker_id, out);
+  } else {
+    run_steps<Grid3D<float>>(services_, program, order, reads_back, resolved,
+                             token, worker_id, out);
   }
 
   MetricsRegistry& metrics = services_.telemetry->metrics();
   metrics.counter(m("program.nodes_scheduled")).add(out.nodes_executed);
   metrics.counter(m("program.steps")).add(out.steps_executed);
-
-  // Move the final field states out of their leases; the leases then
-  // return (empty) to the pool, keeping outstanding() balanced.
-  out.fields.reserve(program.fields.size());
-  for (std::size_t i = 0; i < program.fields.size(); ++i) {
-    FieldState& s = states[i];
-    std::vector<float> storage = std::move(s.front->buffer());
-    if (dims == 2) {
-      out.fields.emplace_back(program.fields[i].name,
-                              Grid2D<float>(s.nx, s.ny, std::move(storage)));
-    } else {
-      out.fields.emplace_back(
-          program.fields[i].name,
-          Grid3D<float>(s.nx, s.ny, s.nz, std::move(storage)));
-    }
-  }
   return out;
 }
 

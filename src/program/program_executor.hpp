@@ -10,14 +10,17 @@
 // the two paths is what makes "a single-stencil job is a one-node
 // program" true at the machinery level, not just the API level.
 //
-// Execution model: all node plans are resolved once up front (one
-// plan-cache lookup -- and hence at most one tuner probe and exactly one
-// tuner.cache_hit/miss tick -- per node per program run, regardless of
-// `steps`), then the per-timestep schedule loops: each node advances its
-// resolved input buffer into a pooled work buffer on its routed backend
-// (the first pass reads the field buffer in place, no copy), and
-// combines the result into the output field's back buffer; written
-// fields swap at the end of the step. Every buffer is a
+// Execution model: all windowed node plans are resolved once up front
+// (one plan-cache lookup -- and hence at most one tuner probe and exactly
+// one tuner.cache_hit/miss tick -- per node per program run, regardless
+// of `steps`), then the per-timestep schedule loops: each node advances
+// its resolved input buffer straight into the output field's back
+// buffer, its last pass storing with the node's combine op (assign, or
+// add onto front for the step's first writer and onto back after that).
+// A node whose input is its own destination buffer copies the input into
+// a pooled lease first; a pointwise node (one center tap, or 0 iterations)
+// runs as a streaming map on this thread (kernels/pointwise.hpp).
+// Written fields swap at the end of the step. Every buffer is a
 // BufferPool lease, so a program job leaks nothing even when a node
 // throws mid-step.
 #pragma once
@@ -44,8 +47,13 @@ class FaultInjector;
 
 /// What running a whole program yields.
 struct ProgramOutcome {
-  /// Componentwise sum of every node run's RunStats.
+  /// Componentwise sum of every node run's RunStats (a pointwise node's
+  /// are run_pointwise's: no passes or block passes).
   RunStats stats;
+  /// The path the nodes took: block_parallel when any node fanned out
+  /// over the worker pool, else sync_sim (pointwise maps count as
+  /// sync_sim: they run on the calling thread).
+  ExecutionBackend backend = ExecutionBackend::sync_sim;
   /// Final state of every field, in declaration order.
   std::vector<std::pair<std::string, GridVariant>> fields;
   std::int64_t nodes_executed = 0;  ///< node runs = nodes * steps

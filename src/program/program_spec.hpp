@@ -34,6 +34,7 @@
 
 #include "grid/grid.hpp"
 #include "stencil/accel_config.hpp"
+#include "stencil/store_op.hpp"
 #include "stencil/tap_set.hpp"
 
 namespace fpga_stencil {
@@ -49,16 +50,6 @@ using GridVariant = std::variant<Grid2D<float>, Grid3D<float>>;
 [[nodiscard]] int grid_variant_dims(const GridVariant& g);
 [[nodiscard]] std::int64_t grid_variant_cells(const GridVariant& g);
 [[nodiscard]] const float* grid_variant_data(const GridVariant& g);
-
-/// How a node's result lands in its output field's back buffer.
-enum class CombineOp : std::uint8_t {
-  assign,  ///< back = result (at most one per field per step, first)
-  add,     ///< back += result (back = front + result for the first writer)
-};
-
-[[nodiscard]] constexpr const char* combine_op_name(CombineOp op) {
-  return op == CombineOp::assign ? "assign" : "add";
-}
 
 /// One named grid the program evolves.
 struct FieldSpec {
@@ -86,6 +77,9 @@ struct KernelNode {
   AcceleratorConfig config;
   std::string reads;   ///< input field name
   std::string writes;  ///< output field name
+  /// How the result lands in the output field's back buffer: assign
+  /// (back = result; at most one per field per step, first) or add
+  /// (back += result; back = front + result for the first writer).
   CombineOp combine = CombineOp::assign;
   /// Fused time steps of this node per program step (the temporal-blocking
   /// depth handed to the backend); usually 1 for coupled systems.
@@ -150,11 +144,12 @@ struct ProgramSpec {
 
 namespace detail {
 
-/// Elementwise combine of one node's result into a field's back buffer --
-/// shared verbatim by ProgramExecutor and the reference model so both
-/// accumulate in the same index order (bit-exactness contract).
-/// `initialized` says whether an earlier writer already populated `back`
-/// this step; `front` is the step-start state (used by the first `add`).
+/// Elementwise combine of one node's result into a field's back buffer,
+/// as the reference model applies it. ProgramExecutor stores the same
+/// thing per retired cell instead (StoreOp: one add, prev first), with
+/// no separate pass. `initialized` says whether an earlier writer already
+/// populated `back` this step; `front` is the step-start state (used by
+/// the first `add`).
 void combine_field(CombineOp op, bool initialized, const float* front,
                    const float* result, float* back, std::int64_t cells);
 

@@ -55,8 +55,7 @@ Grid3D<float> grid3d(unsigned seed = 4) {
   return g;
 }
 
-/// submit + wait through the one front door (EngineCluster::run is a
-/// deprecated one-release shim; see ClusterRunShimStillWorks).
+/// submit + wait through the one front door.
 JobResult cluster_run(EngineCluster& cluster, JobSpec spec) {
   JobHandle h = cluster.submit(std::move(spec));
   return std::move(h.wait());
@@ -325,20 +324,6 @@ TEST(EngineCluster, DrainOneShardUnderLoadLosesNothing) {
   for (int k = 0; k < 3; ++k) {
     EXPECT_EQ(cluster.shard(k).buffer_pool().outstanding(), 0);
   }
-}
-
-TEST(EngineCluster, ClusterRunShimStillWorks) {
-  // run() is [[deprecated]] for one release (submit + JobHandle::wait is
-  // the front door); keep the shim exercised until it is removed.
-  EngineCluster cluster({.shards = 1, .engine = {.workers = 1}});
-  const TapSet taps = StarStencil::make_benchmark(2, 1, 5).to_taps();
-  Grid2D<float> want = grid2d();
-  reference_run(taps, want, 2);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  JobResult r = cluster.run(JobSpec(taps, cfg2d(), grid2d(), 2));
-#pragma GCC diagnostic pop
-  EXPECT_TRUE(compare_exact(r.grid2d(), want).identical());
 }
 
 TEST(EngineCluster, DrainedClusterRejectsNewSubmissions) {

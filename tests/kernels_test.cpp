@@ -13,7 +13,9 @@
 // run custom tap sets under every non-periodic boundary against the
 // reference model on sync and block-parallel. The ISA cases run every
 // entry's baseline and AVX2 instantiations (whichever the CPU supports)
-// against the interpreter, whichever one the registry picked.
+// against the interpreter, whichever one the registry picked, with the
+// last pass assigning, adding onto a separate grid, and adding onto its
+// own output.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -349,37 +351,71 @@ TEST(KernelDispatch, DegenerateExtentsMatchReference) {
   }
 }
 
-/// `iters` steps of `taps` over `grid` on `k` alone, pass by pass as the
+/// How a sweep's last pass stores: assign, add onto a separate `prev`
+/// grid, or add onto the output itself (prev == out).
+enum class StoreCase { kAssign, kAddPrev, kAddOut };
+constexpr StoreCase kStoreCases[] = {StoreCase::kAssign, StoreCase::kAddPrev,
+                                     StoreCase::kAddOut};
+
+const char* store_case_name(StoreCase c) {
+  switch (c) {
+    case StoreCase::kAssign: return "assign";
+    case StoreCase::kAddPrev: return "add prev";
+    case StoreCase::kAddOut: return "add onto out";
+  }
+  return "?";
+}
+
+/// The output grid a sweep starts from and the store its last pass uses:
+/// `prev` holds the values an add reads; for kAddOut they start in `out`.
+template <typename GridT>
+StoreOp start_store(StoreCase c, const GridT& prev, GridT& out) {
+  out = prev;
+  if (c == StoreCase::kAssign) return StoreOp::assign();
+  if (c == StoreCase::kAddPrev) {
+    std::fill(out.data(), out.data() + out.size(), -7.0f);  // never read
+    return StoreOp::add(prev.data());
+  }
+  return StoreOp::add(out.data());
+}
+
+/// `iters` steps of `taps` from `in` on `k` alone, pass by pass as the
 /// executors run them: every block of the plan reads the current grid and
-/// retires its compute region into the other buffer, claimed by one
-/// worker (sync) or several (block-parallel).
+/// retires its compute region into the next one, claimed by one worker
+/// (sync) or several (block-parallel); the last pass stores into `out`
+/// with `store`.
 template <typename GridT>
 void run_kernel_passes(const SpecializedKernel& k, const TapSet& taps,
-                       const AcceleratorConfig& cfg, GridT& grid, int iters,
-                       int workers) {
+                       const AcceleratorConfig& cfg, const GridT& in,
+                       GridT& out, int iters, int workers,
+                       const StoreOp& store) {
   constexpr bool k3d = std::is_same_v<GridT, Grid3D<float>>;
   BlockingPlan plan;
   if constexpr (k3d) {
-    plan = make_blocking_plan(cfg, grid.nx(), grid.ny(), grid.nz());
+    plan = make_blocking_plan(cfg, in.nx(), in.ny(), in.nz());
   } else {
-    plan = make_blocking_plan(cfg, grid.nx(), grid.ny());
+    plan = make_blocking_plan(cfg, in.nx(), in.ny());
   }
   std::vector<float> coeffs;
   for (const Tap& t : taps.taps()) coeffs.push_back(t.coeff);
-  GridT next = grid;
+  GridT cur = in;
+  GridT next = in;
   for (int remaining = iters; remaining > 0;) {
     const int steps = std::min(remaining, cfg.partime);
+    remaining -= steps;
+    GridT& dst = remaining == 0 ? out : next;
+    const StoreOp st = remaining == 0 ? store : StoreOp::assign();
     std::atomic<std::int64_t> claim{0};
     const auto worker = [&] {
       RunStats stats;
       for (std::int64_t b; (b = claim.fetch_add(1)) < plan.total_blocks();) {
         const BlockExtent blk = block_extent(plan, b);
         if constexpr (k3d) {
-          k.run_3d(plan, blk, grid, next, steps, coeffs.data(), stats,
-                   nullptr, taps.boundary());
+          k.run_3d(plan, blk, cur, dst, steps, coeffs.data(), stats, nullptr,
+                   taps.boundary(), st);
         } else {
-          k.run_2d(plan, blk, grid, next, steps, coeffs.data(), stats,
-                   nullptr, taps.boundary());
+          k.run_2d(plan, blk, cur, dst, steps, coeffs.data(), stats, nullptr,
+                   taps.boundary(), st);
         }
       }
     };
@@ -388,29 +424,30 @@ void run_kernel_passes(const SpecializedKernel& k, const TapSet& taps,
       for (int w = 1; w < workers; ++w) helpers.emplace_back(worker);
       worker();
     }
-    std::swap(grid, next);
-    remaining -= steps;
+    std::swap(cur, next);
   }
 }
 
-/// `isa`'s entry for (taps, parvec) against the interpreter's `want`, on
-/// one worker and on three.
+/// `isa`'s entry for (taps, parvec) against the interpreter's `want` for
+/// store case `c`, on one worker and on three.
 template <typename GridT>
 void expect_isa_matches(KernelIsa isa, const TapSet& taps, int parvec,
-                        const GridT& base, const GridT& want) {
+                        StoreCase c, const GridT& base, const GridT& prev,
+                        const GridT& want) {
   const AcceleratorConfig cfg =
       envelope_config(taps.dims(), taps.radius(), parvec);
   const SpecializedKernel* found = KernelRegistry::instance().find(taps, cfg);
   ASSERT_NE(found, nullptr);
   const SpecializedKernel k = kernels_detail::with_isa(*found, isa);
   for (const int workers : {1, 3}) {
-    GridT got = base;
-    run_kernel_passes(k, taps, cfg, got, 3, workers);
+    GridT got;
+    const StoreOp store = start_store(c, prev, got);
+    run_kernel_passes(k, taps, cfg, base, got, 3, workers, store);
     const CompareResult cmp = compare_exact(got, want);
     EXPECT_TRUE(cmp.identical())
         << found->name << " " << kernel_isa_name(isa) << " "
-        << taps.boundary().describe() << " on " << workers
-        << " worker(s): " << cmp.summary();
+        << taps.boundary().describe() << " " << store_case_name(c) << " on "
+        << workers << " worker(s): " << cmp.summary();
   }
 }
 
@@ -418,8 +455,9 @@ void expect_isa_matches(KernelIsa isa, const TapSet& taps, int parvec,
 /// canonical tables, the runtime-table families on a reversed star --
 /// against the interpreter on the tail-stressing grids (partime 2 over
 /// three steps: a full pass, then a partial one), under clamp, reflective
-/// and dirichlet boundaries. The interpreter's bits do not depend on
-/// parvec, so each tap set runs on it once.
+/// and dirichlet boundaries, with every store case of the last pass. The
+/// interpreter's bits do not depend on parvec, so each tap set runs on it
+/// once per op.
 void expect_every_entry_exact_on(KernelIsa isa) {
   std::size_t entries = 0;
   for (StencilShape shape :
@@ -438,10 +476,20 @@ void expect_every_entry_exact_on(KernelIsa isa) {
           interp.use_specialized_kernels = false;
           const auto sweep = [&](auto base) {
             base.fill_random(31, -1.0f, 1.0f);
-            auto want = base;
-            StencilAccelerator(taps, interp).run(want, 3);
+            auto prev = base;
+            prev.fill_random(32, -1.0f, 1.0f);
+            // Both add cases store prev + result from the same prev values.
+            auto want_assign = base;
+            auto want_add = prev;
+            StencilAccelerator interpreter(taps, interp);
+            interpreter.run_into(base, want_assign, 3, StoreOp::assign());
+            interpreter.run_into(base, want_add, 3, StoreOp::add(prev.data()));
             for (int pv : kParvecs) {
-              expect_isa_matches(isa, taps, pv, base, want);
+              for (const StoreCase c : kStoreCases) {
+                expect_isa_matches(
+                    isa, taps, pv, c, base, prev,
+                    c == StoreCase::kAssign ? want_assign : want_add);
+              }
             }
           };
           if (dims == 2) {

@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -97,6 +100,56 @@ void expect_fields_identical(
                       .identical())
           << "field " << want[i].first;
     }
+  }
+}
+
+/// Bitwise equality of every field (NaN matches any NaN): stricter than
+/// compare_exact, which takes -0.0 for 0.0.
+void expect_fields_bitwise(
+    const std::vector<std::pair<std::string, GridVariant>>& got,
+    const std::vector<std::pair<std::string, GridVariant>>& want,
+    const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t f = 0; f < got.size(); ++f) {
+    const std::int64_t n = grid_variant_cells(want[f].second);
+    ASSERT_EQ(grid_variant_cells(got[f].second), n) << label;
+    const float* a = grid_variant_data(got[f].second);
+    const float* b = grid_variant_data(want[f].second);
+    std::int64_t bad = 0;
+    for (std::int64_t i = 0; i < n; ++i) {
+      const bool both_nan = std::isnan(a[i]) && std::isnan(b[i]);
+      if (!both_nan && std::bit_cast<std::uint32_t>(a[i]) !=
+                           std::bit_cast<std::uint32_t>(b[i])) {
+        ++bad;
+      }
+    }
+    EXPECT_EQ(bad, 0) << label << ": field " << want[f].first;
+  }
+}
+
+/// Runs `p` through the engine on sync_sim and on block_parallel with 2
+/// and 3 workers; every run must be bitwise the golden model's result
+/// and return every lease.
+void expect_every_executor_matches_reference(const ProgramSpec& p,
+                                             const std::string& label) {
+  const auto want = reference_run_program(p);
+  const auto program = std::make_shared<const ProgramSpec>(p);
+  struct Run {
+    Backend backend;
+    int workers;
+  };
+  for (const Run run : {Run{Backend::sync_sim, 1},
+                        Run{Backend::block_parallel, 2},
+                        Run{Backend::block_parallel, 3}}) {
+    StencilEngine engine({.workers = 1});
+    JobSpec spec(program);
+    spec.backend = run.backend;
+    spec.workers = run.workers;
+    JobResult r = engine.run(std::move(spec));
+    expect_fields_bitwise(r.fields, want,
+                          label + " on " + backend_name(run.backend) + " x" +
+                              std::to_string(run.workers));
+    EXPECT_EQ(engine.buffer_pool().outstanding(), 0) << label;
   }
 }
 
@@ -293,6 +346,147 @@ TEST(ProgramExecution, FusedAndIdentityNodesOnKernelsStayExact) {
               0);
     EXPECT_EQ(hook.metrics().counter("kernels.dispatch_fallback").value(), 0);
     EXPECT_EQ(engine.buffer_pool().outstanding(), 0);
+  }
+}
+
+TEST(ProgramExecution, ReportsTheBackendItRanOn) {
+  auto program =
+      std::make_shared<const ProgramSpec>(make_fdtd_program(70, 23, 2));
+  StencilEngine engine({.workers = 1});
+  JobSpec automatic(program);
+  automatic.workers = 1;
+  EXPECT_EQ(engine.run(std::move(automatic)).backend, Backend::sync_sim);
+  JobSpec forced(program);
+  forced.backend = Backend::block_parallel;
+  forced.workers = 2;
+  EXPECT_EQ(engine.run(std::move(forced)).backend, Backend::block_parallel);
+}
+
+TEST(ProgramExecution, NodesTakeNoPerNodeLease) {
+  // Every node stores straight into its destination's back buffer: a run
+  // leases a front and a back buffer per field, and nothing per node.
+  const ProgramSpec p = make_fdtd_program(37, 23, 5);
+  PlanCache plans;
+  BufferPool pool;
+  Telemetry tel;
+  ProgramExecutor::Services services;
+  services.plans = &plans;
+  services.pool = &pool;
+  services.telemetry = &tel;
+  services.workers = 1;
+  ProgramExecutor exec(services);
+  const ProgramOutcome out = exec.run(p, nullptr, 0);
+  EXPECT_EQ(out.nodes_executed, 4 * 5);
+  EXPECT_EQ(pool.acquires(), 2 * std::int64_t(p.fields.size()));
+  EXPECT_EQ(pool.outstanding(), 0);
+  expect_fields_identical(out.fields, reference_run_program(p));
+}
+
+/// A 2D program over fields `u` (clamp), `v` (reflective) and `w`
+/// (periodic) on kernel-envelope geometry (parvec 4, partime 2, 3+
+/// blocks across x), so windowed nodes run on the specialized kernels --
+/// except those reading the periodic field, which take the interpreter.
+ProgramSpec store_path_program(std::vector<KernelNode> nodes) {
+  ProgramSpec p;
+  Grid2D<float> u(75, 23), v(75, 23), w(75, 23);
+  u.fill_random(41, -1.0f, 1.0f);
+  v.fill_random(42, -1.0f, 1.0f);
+  w.fill_random(43, -1.0f, 1.0f);
+  p.fields = {
+      FieldSpec{"u", std::move(u), BoundaryCondition::clamp()},
+      FieldSpec{"v", std::move(v), BoundaryCondition::reflective()},
+      FieldSpec{"w", std::move(w), BoundaryCondition::periodic()},
+  };
+  p.nodes = std::move(nodes);
+  p.steps = 3;
+  p.validate();
+  return p;
+}
+
+AcceleratorConfig store_path_config() {
+  AcceleratorConfig cfg = base_config(2, 1);
+  cfg.parvec = 4;
+  cfg.partime = 2;
+  return cfg;
+}
+
+TEST(ProgramStore, AliasingNodeCopiesItsInputFirst) {
+  // `smooth` reads v after `seed_v` wrote it this step and adds into v
+  // itself: its input buffer is its destination's back buffer.
+  const AcceleratorConfig cfg = store_path_config();
+  const TapSet star = StarStencil::make_benchmark(2, 1, 5).to_taps();
+  const ProgramSpec p = store_path_program({
+      KernelNode{"seed_v", star, cfg, "u", "v", CombineOp::assign, 1, {}},
+      KernelNode{"smooth", star, cfg, "v", "v", CombineOp::add, 1,
+                 {"seed_v"}},
+  });
+  expect_every_executor_matches_reference(p, "aliasing add");
+}
+
+TEST(ProgramStore, MultiPassAddOntoAFieldWrittenThisStep) {
+  // `deep` fuses 3 iterations over partime 2 (a full pass over spare
+  // scratch, then a short last pass) and adds onto v, which `seed_v`
+  // already wrote this step: prev is the destination buffer itself.
+  const AcceleratorConfig cfg = store_path_config();
+  const TapSet star = StarStencil::make_benchmark(2, 1, 6).to_taps();
+  const TapSet pair = taps_2d({Tap{0, 0, 0, 0.5f}, Tap{1, 0, 0, -0.25f}});
+  const ProgramSpec p = store_path_program({
+      KernelNode{"seed_v", pair, cfg, "v", "v", CombineOp::assign, 1, {}},
+      KernelNode{"deep", star, cfg, "u", "v", CombineOp::add, 3,
+                 {"seed_v"}},
+  });
+  expect_every_executor_matches_reference(p, "multi-pass add");
+}
+
+TEST(ProgramStore, PeriodicReadStoresThroughTheInterpreter) {
+  const AcceleratorConfig cfg = store_path_config();
+  const TapSet star = StarStencil::make_benchmark(2, 1, 7).to_taps();
+  const ProgramSpec p = store_path_program({
+      KernelNode{"wrap_u", star, cfg, "w", "u", CombineOp::add, 2, {}},
+      KernelNode{"wrap_w", star, cfg, "w", "w", CombineOp::assign, 1, {}},
+      KernelNode{"more_w", star, cfg, "u", "w", CombineOp::add, 1,
+                 {"wrap_u", "wrap_w"}},
+  });
+  expect_every_executor_matches_reference(p, "periodic read");
+}
+
+TEST(ProgramStore, PointwiseNodesAreExactMaps) {
+  // One center tap (or no iteration at all) on every store op, boundary
+  // and fused depth, over values that stress the arithmetic: signed
+  // zeros, subnormals, infinities (inf - inf makes NaNs downstream).
+  const AcceleratorConfig cfg = store_path_config();
+  const float sub = std::numeric_limits<float>::denorm_min();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {-0.0f, 0.0f, sub, -sub, 3 * sub, inf, -inf,
+                            1e-38f, -2.5f};
+  for (const int iterations : {0, 1, 3}) {
+    for (const CombineOp op : {CombineOp::assign, CombineOp::add}) {
+      for (const BoundaryCondition& bc :
+           {BoundaryCondition::clamp(), BoundaryCondition::periodic()}) {
+        // `again` reads and adds onto the buffer `scale` just assigned
+        // (input, prev and destination all one buffer); `probe` stores
+        // onto w's front with the op under test.
+        ProgramSpec p = store_path_program({
+            KernelNode{"scale", taps_2d({Tap{0, 0, 0, -0.5f}}), cfg, "u",
+                       "v", CombineOp::assign, iterations, {}},
+            KernelNode{"again", taps_2d({Tap{0, 0, 0, 0.75f}}), cfg, "v",
+                       "v", CombineOp::add, iterations, {"scale"}},
+            KernelNode{"probe", taps_2d({Tap{0, 0, 0, 2.0f}}), cfg, "u",
+                       "w", op, iterations, {}},
+        });
+        for (FieldSpec& f : p.fields) {
+          f.boundary = bc;
+          auto& g = std::get<Grid2D<float>>(f.data);
+          for (std::size_t i = 0; i < std::size(specials); ++i) {
+            g.data()[i * 7] = specials[i];
+          }
+        }
+        expect_every_executor_matches_reference(
+            p, "pointwise x" + std::to_string(iterations) + " " +
+                   (op == CombineOp::add ? "add " : "assign ") +
+                   bc.describe());
+      }
+    }
   }
 }
 
