@@ -1,25 +1,15 @@
 // Shared helpers for the table-regeneration benches: paper-vs-ours
-// annotation, common formatting, and the host-fingerprint block every
-// BENCH_*.json exporter records (schema_version >= 2).
+// annotation and common formatting.
 #pragma once
 
 #include <iostream>
 #include <string>
 
 #include "common/format.hpp"
-#include "common/json.hpp"
 #include "common/table.hpp"
-#include "core/host_profile.hpp"
 #include "harness/paper_reference.hpp"
 
 namespace fpga_stencil::bench {
-
-/// Numbers without provenance are unreproducible: every exported document
-/// carries a "host" object (cores, cache sizes, -march mode, compiler,
-/// and the same fingerprint string the TuningCache keys on) so two
-/// BENCH files are comparable only when their fingerprints agree.
-/// check_bench_json.py rejects documents that omit it.
-inline void write_host_block(JsonWriter& w) { write_host_profile(w); }
 
 /// "ours (paper: ref, dev +x%)" cell content.
 inline std::string vs_paper(double ours, double paper_value, int prec = 3) {

@@ -1,23 +1,12 @@
 // One-stop reproduction scorecard: every paper number this repository
 // regenerates, with its deviation, plus worst-case deviations per table.
-// This is the machine-checkable backbone of EXPERIMENTS.md.
-//
-// With --json FILE the scorecard is also emitted as a machine-readable
-// artifact (BENCH_PR2.json convention): one entry per Table III
-// configuration with the modeled GFLOP/s / GCell/s / GB/s numbers plus a
-// measured wall-clock simulation sample, and the telemetry snapshot of
-// those instrumented runs. tools/check_bench_json.py validates the shape.
+// This is the machine-checkable backbone of EXPERIMENTS.md: the exit
+// status is nonzero when a headline claim is missed.
 #include <algorithm>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "bench_util.hpp"
-#include "common/json.hpp"
-#include "common/stopwatch.hpp"
-#include "core/stencil_accelerator.hpp"
 #include "harness/experiments.hpp"
-#include "telemetry/telemetry.hpp"
 
 using namespace fpga_stencil;
 
@@ -34,143 +23,12 @@ struct WorstCase {
   }
 };
 
-/// Measured wall-clock sample of one Table III configuration: the
-/// bit-exact simulator on a scaled-down grid (the paper input sizes are
-/// synthesis targets, not host-simulation targets), one fused pass.
-struct SimSample {
-  std::int64_t nx = 0, ny = 0, nz = 1;
-  int iters = 0;
-  double wall_seconds = 0.0;
-  double cells_per_s = 0.0;
-};
-
-SimSample simulate_config(const AcceleratorConfig& paper_cfg,
-                          Telemetry& telemetry) {
-  AcceleratorConfig cfg = paper_cfg;
-  cfg.telemetry = &telemetry;
-  const StarStencil stencil =
-      StarStencil::make_benchmark(cfg.dims, cfg.radius);
-  StencilAccelerator accel(stencil, cfg);
-
-  SimSample s;
-  s.iters = cfg.partime;  // exactly one fused pass
-  const Stopwatch wall;
-  if (cfg.dims == 2) {
-    s.nx = 512;
-    s.ny = 256;
-    Grid2D<float> g(s.nx, s.ny);
-    g.fill_random(3);
-    accel.run(g, s.iters);
-  } else {
-    s.nx = 96;
-    s.ny = 96;
-    s.nz = 48;
-    Grid3D<float> g(s.nx, s.ny, s.nz);
-    g.fill_random(3);
-    accel.run(g, s.iters);
-  }
-  s.wall_seconds = wall.seconds();
-  if (s.wall_seconds > 0) {
-    s.cells_per_s =
-        double(s.nx * s.ny * s.nz) * double(s.iters) / s.wall_seconds;
-  }
-  return s;
-}
-
-/// Emits the machine-readable scorecard (see tools/check_bench_json.py
-/// for the schema this must satisfy).
-int write_bench_json(const std::string& path, const DeviceSpec& dev) {
-  Telemetry telemetry;
-  std::ostringstream body;
-  JsonWriter w(body);
-  w.begin_object();
-  w.key("schema_version").value(2);
-  w.key("bench").value("experiments_summary");
-  bench::write_host_block(w);
-  w.key("paper").value(
-      "High-Performance High-Order Stencil Computation on FPGAs Using "
-      "OpenCL");
-  w.key("device").value(dev.name);
-  w.key("configs").begin_array();
-  for (int dims : {2, 3}) {
-    for (int rad = 1; rad <= 4; ++rad) {
-      const FpgaResultRow r = fpga_result_row(dims, rad, dev);
-      const SimSample sim = simulate_config(r.config, telemetry);
-      w.begin_object();
-      w.key("name").value(std::to_string(dims) + "D_r" +
-                          std::to_string(rad));
-      w.key("dims").value(dims);
-      w.key("radius").value(rad);
-      w.key("config").value(r.config.describe());
-      w.key("bsize_x").value(r.config.bsize_x);
-      w.key("bsize_y").value(r.config.bsize_y);
-      w.key("parvec").value(r.config.parvec);
-      w.key("partime").value(r.config.partime);
-      w.key("input").begin_object();
-      w.key("nx").value(r.input_x);
-      w.key("ny").value(r.input_y);
-      w.key("nz").value(r.input_z);
-      w.end_object();
-      w.key("model").begin_object();
-      w.key("fmax_mhz").value(r.fmax_mhz);
-      w.key("gbps").value(r.perf.measured_gbps);
-      w.key("gflops").value(r.perf.measured_gflops);
-      w.key("gcells").value(r.perf.measured_gcells);
-      w.key("power_watts").value(r.power_watts);
-      w.key("roofline_ratio").value(r.perf.roofline_ratio);
-      w.end_object();
-      w.key("simulation").begin_object();
-      w.key("nx").value(sim.nx);
-      w.key("ny").value(sim.ny);
-      w.key("nz").value(sim.nz);
-      w.key("iters").value(sim.iters);
-      w.key("wall_seconds").value(sim.wall_seconds);
-      w.key("cells_per_s").value(sim.cells_per_s);
-      w.end_object();
-      w.end_object();
-    }
-  }
-  w.end_array();
-  w.key("telemetry").begin_object();
-  w.key("metrics").begin_array();
-  for (const MetricSample& s : telemetry.metrics().snapshot().samples) {
-    w.begin_object();
-    w.key("name").value(s.name);
-    w.key("kind").value(metric_kind_name(s.kind));
-    w.key("value").value(s.value);
-    w.key("sum").value(s.sum);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  w.end_object();
-
-  if (!json_is_valid(body.str())) {
-    std::cerr << "experiments_summary: emitted JSON failed validation\n";
-    return 1;
-  }
-  std::ofstream file(path);
-  if (!file) {
-    std::cerr << "experiments_summary: cannot open `" << path << "`\n";
-    return 1;
-  }
-  file << body.str() << "\n";
-  std::cout << "\nmachine-readable scorecard written to " << path << "\n";
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::cerr << "usage: experiments_summary [--json FILE]\n";
-      return 2;
-    }
+int main(int argc, char**) {
+  if (argc > 1) {
+    std::cerr << "usage: experiments_summary\n";
+    return 2;
   }
   bench::print_header("REPRODUCTION SCORECARD",
                       "Every regenerated value vs the paper, worst "
@@ -258,6 +116,5 @@ int main(int argc, char** argv) {
   std::cout << "  temporal blocking beats memory bandwidth: roofline ratio "
             << format_fixed(ratio_r1, 1) << "x at 2D r1 (paper 19.8x)\n";
 
-  if (!json_path.empty() && write_bench_json(json_path, dev) != 0) return 1;
   return h2d && h3d ? 0 : 1;
 }

@@ -6,26 +6,17 @@
 // Every measured pair is also an exactness check: the specialized run
 // must match the interpreter bit-for-bit (and the block-parallel runs
 // must match the sync run), so the benchmark doubles as a self-test and
-// exits nonzero on any mismatch or missing dispatch.
-//
-// With --json FILE the scorecard is exported in the BENCH_PR7.json
-// convention ("bench": "kernel_dispatch"); tools/check_bench_json.py
-// validates the shape as a ctest fixture. Default sizes are CI-small;
-// --full selects the acceptance sizes (512^3) used for the committed
-// artifact:
-//   microbench_kernel_dispatch --full --json BENCH_PR7.json
+// exits nonzero on any mismatch or missing dispatch. Default sizes are
+// CI-small; --full selects the acceptance sizes (512^3). Host throughput
+// is recorded by perfbench (BENCHMARK.json), not here.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "bench_util.hpp"
-#include "common/json.hpp"
 #include "common/stopwatch.hpp"
 #include "core/block_parallel_accelerator.hpp"
 #include "core/stencil_accelerator.hpp"
@@ -40,8 +31,6 @@ using namespace fpga_stencil;
 namespace {
 
 struct Options {
-  std::string json_path;
-  bool full = false;           // acceptance sizes instead of CI-small
   std::int64_t n2d = 64;       // envelope 2D grid: n2d x (n2d * 5 / 8)
   std::int64_t n3d = 28;       // envelope 3D grid: n3d x (n3d-4) x (n3d/2)
   std::int64_t accept_n = 64;  // acceptance grid: accept_n^3
@@ -51,10 +40,8 @@ struct Options {
 
 struct PointResult {
   std::string name;
-  StencilShape shape = StencilShape::kStar;
-  int dims = 2, radius = 1, parvec = 1;
+  int dims = 2;
   std::int64_t nx = 0, ny = 0, nz = 1;
-  int iters = 0;
   double generic_mcells = 0.0;
   double specialized_mcells = 0.0;
   bool exact = false;
@@ -119,14 +106,10 @@ PointResult measure_point(StencilShape shape, int radius, int parvec,
   const AcceleratorConfig cfg = envelope_config(dims, radius, parvec);
 
   PointResult r;
-  r.shape = shape;
   r.dims = dims;
-  r.radius = radius;
-  r.parvec = parvec;
   r.nx = init.nx();
   r.ny = init.ny();
   if constexpr (dims == 3) r.nz = init.nz();
-  r.iters = iters;
   const SpecializedKernel* k = KernelRegistry::instance().find(taps, cfg);
   r.dispatched = k != nullptr;
   r.name = k ? k->name
@@ -152,12 +135,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (a == "--json") {
-      const char* v = next();
-      if (!v) return false;
-      opt.json_path = v;
-    } else if (a == "--full") {
-      opt.full = true;
+    if (a == "--full") {
       opt.n2d = 512;
       opt.n3d = 96;
       opt.accept_n = 512;
@@ -201,7 +179,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
 int main(int argc, char** argv) {
   Options opt;
   if (!parse_args(argc, argv, opt)) {
-    std::cerr << "usage: microbench_kernel_dispatch [--json FILE] [--full]\n"
+    std::cerr << "usage: microbench_kernel_dispatch [--full]\n"
               << "         [--n2d N] [--n3d N] [--accept-n N] [--iters I]\n"
               << "         [--workers 1,2,4]\n";
     return 2;
@@ -218,7 +196,7 @@ int main(int argc, char** argv) {
   init3.fill_random(22, -1.0f, 1.0f);
   Grid3D<float> work3(init3.nx(), init3.ny(), init3.nz());
 
-  std::vector<PointResult> envelope;
+  std::vector<double> speedups;
   std::cout << "kernel            grid            generic   specialized  "
                "speedup  exact\n";
   for (StencilShape shape : {StencilShape::kStar, StencilShape::kBox}) {
@@ -239,7 +217,7 @@ int main(int argc, char** argv) {
                     << grid.str() << "\t" << r.generic_mcells << "\t"
                     << r.specialized_mcells << "\tx" << r.speedup() << "\t"
                     << (r.exact ? "yes" : "NO") << "\n";
-          envelope.push_back(r);
+          speedups.push_back(r.speedup());
         }
       }
     }
@@ -275,134 +253,27 @@ int main(int argc, char** argv) {
             << accept_spec_mc << " Mcell/s, speedup x" << accept_speedup
             << ", exact " << (accept_exact ? "yes" : "NO") << "\n";
 
-  // ---- block-parallel scaling rerun on the specialized kernels ----
-  struct ScaleRun {
-    int workers = 0;
-    double mcells = 0.0;
-    double speedup_vs_sync = 0.0;
-    bool exact = false;
-  };
-  std::vector<ScaleRun> scale;
+  // ---- block-parallel rerun on the specialized kernels ----
   const double sync_mc = accept_spec_mc;  // sync specialized baseline
-  const unsigned hc = std::thread::hardware_concurrency();
-  int max_workers = 1;
-  double best_speedup = 0.0;
   for (int wkr : opt.workers) {
-    max_workers = std::max(max_workers, wkr);
     RunOptions ropt;
     ropt.workers = wkr;
     Grid3D<float> pwork = ainit;
     const Stopwatch clock;
     (void)run_block_parallel(ataps, acfg, pwork, aiters, ropt);
-    const double secs = double(clock.nanoseconds()) / 1e9;
-    ScaleRun s;
-    s.workers = wkr;
-    s.mcells = mcells_per_s(acells, aiters, secs);
-    s.speedup_vs_sync = sync_mc > 0.0 ? s.mcells / sync_mc : 0.0;
-    s.exact = compare_exact(pwork, areference).identical();
-    best_speedup = std::max(best_speedup, s.speedup_vs_sync);
-    ok = ok && s.exact;
-    std::cout << "blockpar workers=" << wkr << ": " << s.mcells
-              << " Mcell/s, x" << s.speedup_vs_sync << " vs sync, exact "
-              << (s.exact ? "yes" : "NO") << "\n";
-    scale.push_back(s);
+    const double mcells =
+        mcells_per_s(acells, aiters, double(clock.nanoseconds()) / 1e9);
+    const bool exact = compare_exact(pwork, areference).identical();
+    ok = ok && exact;
+    std::cout << "blockpar workers=" << wkr << ": " << mcells
+              << " Mcell/s, x" << (sync_mc > 0.0 ? mcells / sync_mc : 0.0)
+              << " vs sync, exact " << (exact ? "yes" : "NO") << "\n";
   }
-  // As in stencilctl blockpar: the scaling gate only binds on hosts with
-  // enough cores; exactness binds everywhere.
-  const bool gate_checked = hc >= unsigned(max_workers);
 
-  double min_sp = 1e300, max_sp = 0.0;
-  std::vector<double> sps;
-  for (const PointResult& r : envelope) {
-    min_sp = std::min(min_sp, r.speedup());
-    max_sp = std::max(max_sp, r.speedup());
-    sps.push_back(r.speedup());
-  }
-  std::sort(sps.begin(), sps.end());
-  const double med_sp = sps.empty() ? 0.0 : sps[sps.size() / 2];
-  std::cout << "\nenvelope speedups: min x" << min_sp << ", median x"
-            << med_sp << ", max x" << max_sp << "\n";
-
-  if (!opt.json_path.empty()) {
-    std::ostringstream body;
-    JsonWriter w(body);
-    w.begin_object();
-    w.key("schema_version").value(2);
-    w.key("bench").value("kernel_dispatch");
-    bench::write_host_block(w);
-    w.key("paper").value(
-        "High-Performance High-Order Stencil Computation on FPGAs Using "
-        "OpenCL");
-    w.key("mode").value(opt.full ? "full" : "reduced");
-    w.key("hardware_concurrency").value(std::int64_t(hc));
-    w.key("envelope").begin_array();
-    for (const PointResult& r : envelope) {
-      w.begin_object();
-      w.key("name").value(r.name);
-      w.key("shape").value(stencil_shape_name(r.shape));
-      w.key("dims").value(r.dims);
-      w.key("radius").value(r.radius);
-      w.key("parvec").value(r.parvec);
-      w.key("nx").value(r.nx);
-      w.key("ny").value(r.ny);
-      w.key("nz").value(r.nz);
-      w.key("iters").value(r.iters);
-      w.key("generic_mcells_per_s").value(r.generic_mcells);
-      w.key("specialized_mcells_per_s").value(r.specialized_mcells);
-      w.key("speedup").value(r.speedup());
-      w.key("exact").value(r.exact);
-      w.key("dispatched").value(r.dispatched);
-      w.end_object();
-    }
-    w.end_array();
-    w.key("acceptance").begin_object();
-    w.key("config").value(acfg.describe());
-    w.key("nx").value(ainit.nx());
-    w.key("ny").value(ainit.ny());
-    w.key("nz").value(ainit.nz());
-    w.key("iters").value(aiters);
-    w.key("generic_mcells_per_s").value(accept_gen_mc);
-    w.key("specialized_mcells_per_s").value(accept_spec_mc);
-    w.key("speedup").value(accept_speedup);
-    w.key("exact").value(accept_exact);
-    w.key("dispatched").value(accept_dispatched);
-    w.end_object();
-    w.key("blockpar").begin_object();
-    w.key("baseline_mcells_per_s").value(sync_mc);
-    w.key("speedup_gate_checked").value(gate_checked);
-    w.key("best_speedup").value(best_speedup);
-    w.key("runs").begin_array();
-    for (const ScaleRun& s : scale) {
-      w.begin_object();
-      w.key("workers").value(s.workers);
-      w.key("mcells_per_s").value(s.mcells);
-      w.key("speedup_vs_sync").value(s.speedup_vs_sync);
-      w.key("exact").value(s.exact);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.key("summary").begin_object();
-    w.key("points").value(std::int64_t(envelope.size()));
-    w.key("exact_points")
-        .value(std::int64_t(std::count_if(envelope.begin(), envelope.end(),
-                                          [](const PointResult& r) {
-                                            return r.exact;
-                                          })));
-    w.key("min_speedup").value(min_sp);
-    w.key("median_speedup").value(med_sp);
-    w.key("max_speedup").value(max_sp);
-    w.end_object();
-    w.end_object();
-
-    std::ofstream out(opt.json_path);
-    if (!out) {
-      std::cerr << "cannot write " << opt.json_path << "\n";
-      return 1;
-    }
-    out << body.str() << "\n";
-    std::cout << "wrote " << opt.json_path << "\n";
-  }
+  std::sort(speedups.begin(), speedups.end());
+  std::cout << "\nenvelope speedups: min x" << speedups.front()
+            << ", median x" << speedups[speedups.size() / 2] << ", max x"
+            << speedups.back() << "\n";
 
   if (!ok) {
     std::cerr << "SELF-CHECK FAILED: a specialized run diverged from the "

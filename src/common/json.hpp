@@ -2,13 +2,13 @@
 //
 // JsonWriter is a streaming emitter with automatic comma/nesting
 // management, enough for the telemetry exports (metric snapshots, Chrome
-// trace_event files) and the machine-readable bench artifacts
-// (BENCH_*.json). json_is_valid is a strict RFC 8259 recursive-descent
-// checker used by tests and CLI self-checks to prove emitted documents are
-// well-formed without pulling in a parser library. JsonValue/json_parse is
-// the read side: a small DOM for documents the library itself wrote
-// (TuningCache files), returning nullopt instead of throwing so corrupted
-// input degrades to "no data".
+// trace_event files) and perfbench's run records. json_is_valid is a
+// strict RFC 8259 recursive-descent checker used by tests and CLI
+// self-checks to prove emitted documents are well-formed without pulling
+// in a parser library. JsonValue/json_parse is the read side: a small
+// DOM for documents the library itself wrote (TuningCache files),
+// returning nullopt instead of throwing so corrupted input degrades to
+// "no data".
 #pragma once
 
 #include <cstdint>

@@ -27,6 +27,13 @@ int requested_block_workers(int workers) {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
+ExecutionBackend single_board_backend(int workers, const BlockingPlan& plan) {
+  const std::int64_t p = requested_block_workers(workers);
+  return p >= 2 && plan.total_blocks() >= 2 * p
+             ? ExecutionBackend::block_parallel
+             : ExecutionBackend::sync_sim;
+}
+
 int resolved_block_workers(const RunOptions& options,
                            const BlockingPlan& plan) {
   const std::int64_t requested = requested_block_workers(options.workers);

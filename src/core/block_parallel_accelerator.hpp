@@ -28,8 +28,8 @@
 //
 // Scaling trade: more workers want more blocks (smaller bsize), but
 // smaller blocks raise the redundancy factor streamed/valid (eq. 2).
-// docs/PARALLEL.md quantifies the trade; the router only picks this
-// backend when the plan yields at least two blocks per worker.
+// docs/PARALLEL.md quantifies the trade; automatic routing picks this
+// backend by single_board_backend() below.
 #pragma once
 
 #include "core/run_options.hpp"
@@ -39,8 +39,15 @@ namespace fpga_stencil {
 
 /// Worker count a RunOptions asks for: `workers` when positive, else
 /// std::thread::hardware_concurrency() (always >= 1). The routing rule
-/// (>= 2 blocks per worker) uses this uncapped request.
+/// (single_board_backend) uses this uncapped request.
 [[nodiscard]] int requested_block_workers(int workers);
+
+/// The automatic single-board routing rule that run() and the engine
+/// share: block_parallel when at least two requested workers each get at
+/// least two of the plan's blocks, else sync_sim -- below that the sync
+/// sweep beats spawning a starved pool.
+[[nodiscard]] ExecutionBackend single_board_backend(int workers,
+                                                    const BlockingPlan& plan);
 
 /// Workers a block-parallel run of `plan` actually spawns: the request
 /// clamped to the plan's block count, so no worker is born idle.

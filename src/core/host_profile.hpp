@@ -1,8 +1,8 @@
-// The execution host, as the autotuner and bench artifacts see it: core
+// The execution host, as the autotuner and perfbench see it: core
 // count, cache hierarchy sizes, the instruction set the specialized
 // kernels run, and the compiler. The fingerprint keys TuningCache entries (a tuned plan
-// is a fact about one machine + one build) and stamps every BENCH_*.json
-// so cross-host numbers are comparable.
+// is a fact about one machine + one build) and stamps perfbench's
+// provenance record so cross-host numbers are comparable.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +32,8 @@ struct HostProfile {
 const HostProfile& host_profile();
 
 /// Emits `"host": {...}` (cores, cache sizes, kernel_isa, compiler,
-/// fingerprint) into an open JSON object -- the block every BENCH_*.json
-/// exporter records since schema_version 2.
+/// fingerprint) into an open JSON object -- the host block of
+/// perfbench's provenance record.
 void write_host_profile(JsonWriter& w);
 
 }  // namespace fpga_stencil

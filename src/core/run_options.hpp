@@ -72,8 +72,8 @@ enum class ExecutionBackend {
 /// subset it understands and ignores the rest.
 struct RunOptions {
   /// Which path executes the job; `automatic` lets the router decide
-  /// (resilient when an injector is set, block-parallel when the plan
-  /// yields at least two blocks per worker, else the sync simulator).
+  /// (resilient when an injector is set, else single_board_backend() in
+  /// core/block_parallel_accelerator.hpp).
   ExecutionBackend backend = ExecutionBackend::automatic;
   /// Per-channel vector capacity (the OpenCL `depth` attribute);
   /// concurrent/resilient backends.

@@ -34,8 +34,8 @@ namespace fpga_stencil {
 /// Execution paths the engine can route a job to: the engine-level name
 /// of the shared backend vocabulary (core/run_options.hpp). Under
 /// `automatic` the engine picks cluster if boards > 1, resilient if an
-/// injector is set, block_parallel if the plan yields at least two
-/// blocks per worker, else the synchronous simulator.
+/// injector is set, else single_board_backend()
+/// (core/block_parallel_accelerator.hpp).
 using Backend = ExecutionBackend;
 
 // GridVariant (either grid dimensionality, by value) lives in
@@ -133,9 +133,8 @@ struct JobSpec {
   Backend backend = Backend::automatic;
   /// Dataflow knobs (concurrent / resilient backends).
   std::size_t channel_depth = 64;
-  /// Block-parallel worker threads; 0 = hardware_concurrency. Routing
-  /// note: Backend::automatic picks block_parallel only when the cached
-  /// plan yields >= 2 blocks per worker (see docs/PARALLEL.md).
+  /// Block-parallel worker threads; 0 = hardware_concurrency. Under
+  /// Backend::automatic this count feeds single_board_backend().
   int workers = 0;
   /// Per-job fault source. Routing note: under Backend::automatic an
   /// injector routes to the resilient backend -- injecting a stall into

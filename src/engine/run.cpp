@@ -20,14 +20,8 @@ ExecutionBackend resolve_backend(const TapSet& taps,
   // an injected stall without a watchdog would deadlock the pass.
   if (options.injector != nullptr) return ExecutionBackend::resilient;
   const AcceleratorConfig resolved = resolve_stage_lag(taps, cfg);
-  const BlockingPlan plan = make_blocking_plan(resolved, nx, ny, nz);
-  const std::int64_t workers = requested_block_workers(options.workers);
-  // Fan out only when every worker gets at least two blocks; below that
-  // the sync simulator's single sweep beats spawning a starved pool.
-  if (workers >= 2 && plan.total_blocks() >= 2 * workers) {
-    return ExecutionBackend::block_parallel;
-  }
-  return ExecutionBackend::sync_sim;
+  return single_board_backend(options.workers,
+                              make_blocking_plan(resolved, nx, ny, nz));
 }
 
 namespace {

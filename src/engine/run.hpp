@@ -32,9 +32,8 @@ namespace fpga_stencil {
 
 /// The routing decision run() would take, exposed so callers (stencilctl)
 /// can report which backend a RunOptions resolves to. `automatic`
-/// resolves to: resilient when an injector is set; block_parallel when
-/// at least 2 workers are requested (or available) AND the blocking plan
-/// yields >= 2 blocks per worker; else sync_sim.
+/// resolves to: resilient when an injector is set; else
+/// single_board_backend() (core/block_parallel_accelerator.hpp).
 ExecutionBackend resolve_backend(const TapSet& taps,
                                  const AcceleratorConfig& cfg,
                                  std::int64_t nx, std::int64_t ny,

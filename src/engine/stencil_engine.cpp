@@ -422,10 +422,7 @@ void StencilEngine::execute(detail::JobState& job, int worker_id) {
     // Routing. An automatic job with an injector goes to the resilient
     // runner, never the bare concurrent pipeline: an injected stall
     // without a watchdog would deadlock the pass. A fault-free
-    // single-board job fans out over overlapped blocks when the cached
-    // plan yields enough block-level work to keep every worker busy
-    // (>= 2 blocks per worker); smaller jobs stay on the sync simulator,
-    // whose single sweep beats spawning a starved pool.
+    // single-board job takes single_board_backend() on its cached plan.
     Backend backend = spec.backend;
     if (backend == Backend::automatic) {
       if (spec.boards > 1) {

@@ -98,14 +98,9 @@ std::shared_ptr<const CachedPlan> ProgramExecutor::resolve_plan(
 }
 
 ExecutionBackend ProgramExecutor::route(const CachedPlan& plan) const {
-  ExecutionBackend backend = services_.backend;
-  if (backend == ExecutionBackend::automatic) {
-    const std::int64_t p = requested_block_workers(services_.workers);
-    backend = (p >= 2 && plan.blocking.total_blocks() >= 2 * p)
-                  ? ExecutionBackend::block_parallel
-                  : ExecutionBackend::sync_sim;
-  }
-  return backend;
+  return services_.backend == ExecutionBackend::automatic
+             ? single_board_backend(services_.workers, plan.blocking)
+             : services_.backend;
 }
 
 namespace {

@@ -103,8 +103,7 @@ class ProgramExecutor {
       bool* hit);
 
   /// Resolves Services::backend against a concrete plan: `automatic`
-  /// becomes block_parallel when the plan yields >= 2 blocks per worker,
-  /// else sync_sim (the engine's single-board routing policy).
+  /// takes single_board_backend (core/block_parallel_accelerator.hpp).
   [[nodiscard]] ExecutionBackend route(const CachedPlan& plan) const;
 
   /// Runs one planned stencil in place on `grid` over pooled scratch.

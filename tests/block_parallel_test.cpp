@@ -7,6 +7,8 @@
 // TSan/ASan.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/buffer_pool.hpp"
 #include "core/block_parallel_accelerator.hpp"
 #include "core/stencil_accelerator.hpp"
@@ -14,6 +16,7 @@
 #include "engine/stencil_engine.hpp"
 #include "fault/fault_injector.hpp"
 #include "grid/grid_compare.hpp"
+#include "program/program_spec.hpp"
 #include "stencil/box_stencil.hpp"
 #include "stencil/reference.hpp"
 #include "stencil/star_stencil.hpp"
@@ -290,6 +293,20 @@ TEST(EngineBlockParallel, AutomaticRoutingNeedsTwoBlocksPerWorker) {
   JobSpec narrow(taps, cfg, Grid2D<float>(g), 2);
   narrow.workers = 9;  // 16 < 18: stay on the sync sweep
   EXPECT_EQ(engine.run(std::move(narrow)).backend, Backend::sync_sim);
+
+  // The same plan as a one-node program job routes by the same rule.
+  const auto program_backend = [&](int workers) {
+    ProgramSpec p;
+    p.fields = {FieldSpec{"u", Grid2D<float>(g)}};
+    p.nodes = {KernelNode{"step", taps, cfg, "u", "u", CombineOp::assign, 2,
+                          {}}};
+    p.validate();
+    JobSpec spec(std::make_shared<const ProgramSpec>(std::move(p)));
+    spec.workers = workers;
+    return engine.run(std::move(spec)).backend;
+  };
+  EXPECT_EQ(program_backend(8), Backend::block_parallel);
+  EXPECT_EQ(program_backend(9), Backend::sync_sim);
 }
 
 // PR 1 introduced the watchdog for the concurrent pipeline; PR 6 wires

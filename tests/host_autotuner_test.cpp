@@ -371,13 +371,20 @@ TEST(HostAutotuner, SearchPersistsAcrossProcessesViaDisk) {
   std::remove(path.c_str());
 }
 
-// Block geometry and temporal depth are performance-only knobs: whatever
-// the search picks must reproduce the paper-default result bit-for-bit.
+// Block geometry and temporal depth are performance-only knobs: per
+// point, the searched plan and the cache-model-seeded one (the lowest-cost
+// non-default candidate, what a model-only tuner would pick) must both
+// reproduce the paper-default result bit-for-bit.
 TEST(HostAutotuner, TunedPlansAreBitExactWithDefault) {
   HostAutotuner tuner(tiny_options());
   struct Point {
     TapSet taps;
     AcceleratorConfig base;
+  };
+  const auto model_seeded = [](const AcceleratorConfig& base, std::int64_t nx,
+                               std::int64_t ny, std::int64_t nz) {
+    const auto c = enumerate_plan_candidates(base, nx, ny, nz);
+    return c.size() > 1 ? c[1] : base;
   };
   const std::vector<Point> points = {
       {StarStencil::make_benchmark(2, 1, 7).to_taps(), base2d(1)},
@@ -393,19 +400,29 @@ TEST(HostAutotuner, TunedPlansAreBitExactWithDefault) {
       Grid2D<float> want(160, 96);
       want.fill_random(11, -1.0f, 1.0f);
       Grid2D<float> got = want;
+      Grid2D<float> seeded = want;
       StencilAccelerator(p.taps, p.base).run(want, iters);
       StencilAccelerator(p.taps, out.config).run(got, iters);
+      StencilAccelerator(p.taps, model_seeded(p.base, 160, 96, 1))
+          .run(seeded, iters);
       EXPECT_TRUE(compare_exact(got, want).identical())
           << "r" << p.base.radius << " 2D tuned plan diverged";
+      EXPECT_TRUE(compare_exact(seeded, want).identical())
+          << "r" << p.base.radius << " 2D model-seeded plan diverged";
     } else {
       const auto out = tuner.search(p.taps, p.base, 40, 28, 20);
       Grid3D<float> want(40, 28, 20);
       want.fill_random(12, -1.0f, 1.0f);
       Grid3D<float> got = want;
+      Grid3D<float> seeded = want;
       StencilAccelerator(p.taps, p.base).run(want, iters);
       StencilAccelerator(p.taps, out.config).run(got, iters);
+      StencilAccelerator(p.taps, model_seeded(p.base, 40, 28, 20))
+          .run(seeded, iters);
       EXPECT_TRUE(compare_exact(got, want).identical())
           << "r" << p.base.radius << " 3D tuned plan diverged";
+      EXPECT_TRUE(compare_exact(seeded, want).identical())
+          << "r" << p.base.radius << " 3D model-seeded plan diverged";
     }
   }
 }

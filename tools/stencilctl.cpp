@@ -5,17 +5,17 @@
 //   stencilctl explore --dims D --radius R [--device NAME] [--nx N --ny N --nz N] [--top K]
 //       Section V.A design-space exploration (model-based, ranked
 //       against the FPGA resource/bandwidth budget)
-//   stencilctl tune [--dims D] [--radius R] [--full] [--json FILE]
+//   stencilctl tune [--full] [--n2d N] [--n3d N] [--accept-n N]
 //                   [--cache FILE] [--probe-cells C] [--serve]
 //       empirical host autotuning (docs/TUNING.md): sweep the
 //       star/box x 2D/3D x radius 1-4 envelope, search block geometry x
 //       temporal depth by measured-throughput probes, and print
-//       paper-default vs tuned Mcell/s per point; tuned runs are
-//       verified bit-exact against the default geometry; --json exports
-//       the gain scorecard (BENCH_PR9.json schema); --serve instead
-//       drives an autotune=search StencilEngine and self-checks the
-//       tuner.* telemetry (one search, every post-warm-up job a
-//       tuner.cache_hit)
+//       paper-default vs tuned Mcell/s per point; self-check: every
+//       point probed at least one candidate, every tuned run is
+//       bit-exact with the default geometry, and the envelope's median
+//       gain is at least 1.0; --serve instead drives an
+//       autotune=search StencilEngine and self-checks the tuner.*
+//       telemetry (one search, every post-warm-up job a tuner.cache_hit)
 //   stencilctl model  --dims D --radius R --bsize-x B [--bsize-y B] --parvec V --partime T [--device NAME]
 //       resource / fmax / power / performance prediction for one config
 //   stencilctl codegen --dims D --radius R --bsize-x B [--bsize-y B] --parvec V --partime T [--box]
@@ -27,12 +27,12 @@
 //       block-parallel / resilient) and verify vs the naive reference
 //   stencilctl blockpar [--nx N --ny N --nz N] [--radius R] [--parvec V]
 //                       [--partime T] [--bsize-x B --bsize-y B] [--iters I]
-//                       [--workers LIST] [--generic] [--json FILE]
+//                       [--workers LIST] [--generic]
 //       scale one overlapped-blocking job across host worker counts
 //       through the block-parallel backend; self-check: every run
-//       bit-exact vs the synchronous sweep, and (on hosts with enough
-//       cores) the top worker count reaches 3/8 of linear speedup;
-//       --json exports the scaling scorecard (BENCH_PR5.json)
+//       bit-exact vs the synchronous sweep and visits every block of
+//       every pass, and (on hosts with enough cores) the top worker
+//       count reaches 3/8 of linear speedup
 //   stencilctl faults [--plan SPEC] [--boards B] [--nx N --ny N] [--iters I]
 //       run a seeded fault campaign (default: one of every recoverable
 //       fault class) through the shim, the resilient concurrent runtime,
@@ -44,14 +44,13 @@
 //   stencilctl trace [config flags] [--out trace.json]
 //       same instrumented run, exported as Chrome trace_event JSON
 //       (open in chrome://tracing or https://ui.perfetto.dev)
-//   stencilctl engine [--jobs N] [--workers W] [--iters I] [--json FILE]
+//   stencilctl engine [--jobs N] [--workers W] [--iters I] [--queue Q]
 //       drive a mixed 2D/3D job campaign through one StencilEngine
 //       session (plan cache + buffer pool + backend router) and
 //       self-check: every job bit-exact vs the naive reference, at least
-//       one plan-cache hit, no failed jobs; --json exports the per-job
-//       latency scorecard (BENCH_PR3.json)
+//       one plan-cache hit, no failed jobs
 //   stencilctl serve [--jobs N] [--shards S] [--workers W] [--seed S]
-//                    [--iters I] [--window W] [--json FILE]
+//                    [--iters I] [--window W]
 //       the serving-tier campaign (docs/SERVING.md): N mixed jobs
 //       (star/box x 2D/3D x radius 1-4) from a skewed five-tenant mix
 //       (QoS classes, a rate-capped tenant, a blocking inflight-capped
@@ -64,20 +63,18 @@
 //       zero leaked pool leases, and the faulty tenant never degrades
 //       clean tenants' p99 (vs a clean calibration phase); the scale
 //       probe's 3/8-linear speedup gate is only checked when the host
-//       has enough cores (recorded as speedup_gate_checked, like
-//       blockpar); --json exports the per-class/per-tenant latency
-//       scorecard (BENCH_PR8.json)
-//   stencilctl chaos [--jobs N] [--workers W] [--seed S] [--json FILE]
+//       has enough cores (like blockpar)
+//   stencilctl chaos [--jobs N] [--workers W] [--seed S]
 //       the robustness campaign (docs/LIFECYCLE.md): first a
 //       deterministic circuit-breaker proof (fault-injected concurrent
 //       jobs trip the breaker open, jobs reroute to the sync fallback,
 //       a post-cooldown probe closes it again), then N mixed jobs with
 //       seeded random cancellations and deadlines; self-check: zero
 //       hangs, zero unexpected failures, zero leaked pool buffers,
-//       every surviving job bit-exact; --json exports cancel-latency
-//       percentiles and breaker counters (BENCH_PR6.json)
+//       every surviving job bit-exact, at least one cancel latency
+//       recorded
 //   stencilctl program [--n2d N] [--n3d N] [--steps S] [--steps3d S]
-//                      [--shards S] [--workers W] [--json FILE]
+//                      [--shards S] [--workers W]
 //       the multi-field program campaigns (docs/PROGRAMS.md): a 2D FDTD
 //       E/H update (dirichlet walls) and a 3D damped wave equation
 //       (reflective walls, work-field leapfrog), each a ProgramSpec DAG
@@ -85,17 +82,19 @@
 //       field bit-exact vs the multi-field golden model, chunked
 //       per-field delivery reassembles exactly, repeated submissions
 //       route to one shard and hit the per-node plan cache, zero leaked
-//       pool leases; --json exports the campaign scorecard
-//       (BENCH_PR10.json)
+//       pool leases
 //
+// A command rejects any flag it does not read (see commands()).
 // Exit status: 0 on success, 1 on verification/model failure, 2 on usage.
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <deque>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -112,8 +111,6 @@
 #include "common/table.hpp"
 #include "core/block_parallel_accelerator.hpp"
 #include "core/concurrent_accelerator.hpp"
-#include "core/host_profile.hpp"
-#include "core/plan_candidates.hpp"
 #include "core/stencil_accelerator.hpp"
 #include "engine/engine_cluster.hpp"
 #include "engine/run.hpp"
@@ -138,17 +135,27 @@ using namespace fpga_stencil;
 
 namespace {
 
+/// `text` as a whole integer, or a ConfigError naming `--flag`.
+std::int64_t parse_int(const std::string& flag, const std::string& text) {
+  std::int64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
+    throw ConfigError("--" + flag + " expects an integer, got `" + text +
+                      "`");
+  }
+  return v;
+}
+
+/// The flags one command line set: `--key value` pairs, and switches
+/// (flags that take no value) stored with an empty value.
 struct Args {
   std::map<std::string, std::string> kv;
-  bool box = false;
-  bool generic = false;  // force the interpreter (no specialized kernels)
-  bool full = false;     // tune: acceptance sizes instead of CI-small
-  bool serve = false;    // tune: engine telemetry self-check mode
 
   [[nodiscard]] std::int64_t get(const std::string& key,
                                  std::int64_t fallback) const {
     const auto it = kv.find(key);
-    return it == kv.end() ? fallback : std::stoll(it->second);
+    return it == kv.end() ? fallback : parse_int(key, it->second);
   }
   [[nodiscard]] std::string get_str(const std::string& key,
                                     const std::string& fallback) const {
@@ -160,7 +167,23 @@ struct Args {
   }
 };
 
-Args parse_args(int argc, char** argv, int start) {
+/// Parses argv[start..] against one command's flag list (a commands()
+/// entry): a listed flag followed by a placeholder takes a value, one
+/// followed by another flag (or by nothing) is a switch, and any flag the
+/// list does not name is a ConfigError.
+Args parse_args(const std::string& command, const std::string& flags,
+                int argc, char** argv, int start) {
+  std::map<std::string, bool> takes_value;
+  {
+    std::istringstream ss(flags);
+    std::vector<std::string> toks{std::istream_iterator<std::string>(ss),
+                                  std::istream_iterator<std::string>()};
+    for (std::size_t t = 0; t < toks.size(); ++t) {
+      if (toks[t].rfind("--", 0) != 0) continue;
+      takes_value[toks[t].substr(2)] =
+          t + 1 < toks.size() && toks[t + 1].rfind("--", 0) != 0;
+    }
+  }
   Args a;
   for (int i = start; i < argc; ++i) {
     std::string key = argv[i];
@@ -168,20 +191,12 @@ Args parse_args(int argc, char** argv, int start) {
       throw ConfigError("expected --flag, got `" + key + "`");
     }
     key = key.substr(2);
-    if (key == "box") {
-      a.box = true;
-      continue;
+    const auto it = takes_value.find(key);
+    if (it == takes_value.end()) {
+      throw ConfigError("`" + command + "` does not take --" + key);
     }
-    if (key == "generic") {
-      a.generic = true;
-      continue;
-    }
-    if (key == "full") {
-      a.full = true;
-      continue;
-    }
-    if (key == "serve") {
-      a.serve = true;
+    if (!it->second) {
+      a.kv[key] = "";
       continue;
     }
     if (i + 1 >= argc) throw ConfigError("missing value for --" + key);
@@ -295,7 +310,7 @@ int cmd_model(const Args& a) {
 
 int cmd_codegen(const Args& a) {
   const AcceleratorConfig cfg = config_from(a);
-  if (a.box) {
+  if (a.has("box")) {
     const TapSet box = make_box_stencil(cfg.dims, cfg.radius);
     std::cout << generate_tap_kernel_source(box, {cfg, true});
   } else {
@@ -313,7 +328,9 @@ ExecutionBackend backend_from(const Args& a) {
         ExecutionBackend::resilient, ExecutionBackend::cluster}) {
     if (name == backend_name(b)) return b;
   }
-  throw ConfigError("unknown --backend `" + name + "`");
+  throw ConfigError("unknown --backend `" + name +
+                    "` (want automatic|sync_sim|concurrent|block_parallel|"
+                    "resilient|cluster)");
 }
 
 int cmd_simulate(const Args& a) {
@@ -323,7 +340,7 @@ int cmd_simulate(const Args& a) {
   const std::int64_t nz = cfg.dims == 3 ? a.get("nz", 30) : 1;
   const int iters = static_cast<int>(a.get("iters", cfg.partime + 1));
   const TapSet taps =
-      a.box ? make_box_stencil(cfg.dims, cfg.radius)
+      a.has("box") ? make_box_stencil(cfg.dims, cfg.radius)
             : StarStencil::make_benchmark(cfg.dims, cfg.radius).to_taps();
 
   RunOptions opts;
@@ -378,7 +395,7 @@ RunStats run_instrumented(const Args& a, Telemetry& telemetry,
   const int iters = static_cast<int>(a.get("iters", cfg.partime + 1));
   const std::size_t depth = std::size_t(a.get("depth", 64));
   const TapSet taps =
-      a.box ? make_box_stencil(cfg.dims, cfg.radius)
+      a.has("box") ? make_box_stencil(cfg.dims, cfg.radius)
             : StarStencil::make_benchmark(cfg.dims, cfg.radius).to_taps();
 
   RunStats stats;
@@ -702,21 +719,10 @@ int cmd_engine(const Args& a) {
 
   int completed = 0;
   int exact = 0;
-  struct JobRow {
-    std::string label;
-    Backend backend;
-    int dims;
-    std::int64_t nx, ny, nz;
-    bool cache_hit;
-    bool exact;
-    std::int64_t queue_ns, run_ns, cells_written;
-  };
-  std::vector<JobRow> rows;
   for (int i = 0; i < jobs; ++i) {
     JobResult& r = handles[std::size_t(i)].wait();
     ++completed;
     bool ok = false;
-    JobRow row;
     switch (kinds[std::size_t(i)]) {
       case 1:
       case 7: ok = compare_exact(r.grid2d(), want_box2).identical(); break;
@@ -725,18 +731,6 @@ int cmd_engine(const Args& a) {
       default: ok = compare_exact(r.grid2d(), want_star2).identical(); break;
     }
     exact += ok ? 1 : 0;
-    row.label = r.label;
-    row.backend = r.backend;
-    row.dims = std::holds_alternative<Grid3D<float>>(r.grid) ? 3 : 2;
-    row.nx = std::visit([](const auto& g) { return g.nx(); }, r.grid);
-    row.ny = std::visit([](const auto& g) { return g.ny(); }, r.grid);
-    row.nz = row.dims == 3 ? r.grid3d().nz() : 1;
-    row.cache_hit = r.plan_cache_hit;
-    row.exact = ok;
-    row.queue_ns = r.queue_ns;
-    row.run_ns = r.run_ns;
-    row.cells_written = r.stats.cells_written;
-    rows.push_back(std::move(row));
   }
   const EngineStats stats = engine.stats();
 
@@ -756,65 +750,6 @@ int cmd_engine(const Args& a) {
   t.add_row({"queue high-water", std::to_string(stats.queue_high_water)});
   t.add_row({"faults injected", std::to_string(injector.total_fires())});
   t.render(std::cout);
-
-  const std::string json_path = a.get_str("json", "");
-  if (!json_path.empty()) {
-    std::ostringstream body;
-    JsonWriter w(body);
-    w.begin_object();
-    w.key("schema_version").value(2);
-    w.key("bench").value("engine_demo_campaign");
-    write_host_profile(w);
-    w.key("paper").value(
-        "High-Performance High-Order Stencil Computation on FPGAs Using "
-        "OpenCL");
-    w.key("engine").begin_object();
-    w.key("workers").value(eopts.workers);
-    w.key("queue_capacity").value(std::int64_t(eopts.queue_capacity));
-    w.key("plan_cache_capacity")
-        .value(std::int64_t(eopts.plan_cache_capacity));
-    w.end_object();
-    w.key("jobs").begin_array();
-    for (const JobRow& row : rows) {
-      w.begin_object();
-      w.key("label").value(row.label);
-      w.key("backend").value(backend_name(row.backend));
-      w.key("dims").value(row.dims);
-      w.key("nx").value(row.nx);
-      w.key("ny").value(row.ny);
-      w.key("nz").value(row.nz);
-      w.key("iters").value(iters);
-      w.key("plan_cache_hit").value(row.cache_hit);
-      w.key("exact").value(row.exact);
-      w.key("queue_ns").value(row.queue_ns);
-      w.key("run_ns").value(row.run_ns);
-      w.key("cells_written").value(row.cells_written);
-      w.end_object();
-    }
-    w.end_array();
-    w.key("summary").begin_object();
-    w.key("jobs").value(jobs);
-    w.key("completed").value(completed);
-    w.key("failed").value(stats.jobs_failed);
-    w.key("cache_hit_rate").value(stats.cache_hit_rate());
-    w.key("plan_cache_hits").value(stats.plan_cache_hits);
-    w.key("plan_cache_misses").value(stats.plan_cache_misses);
-    w.key("pool_allocations").value(stats.pool_allocations);
-    w.key("pool_reuses").value(stats.pool_reuses);
-    w.key("queue_high_water").value(stats.queue_high_water);
-    w.end_object();
-    w.end_object();
-    if (!json_is_valid(body.str())) {
-      std::cerr << "stencilctl: internal error: engine JSON failed "
-                   "validation\n";
-      return 1;
-    }
-    std::ofstream file(json_path);
-    if (!file) throw ConfigError("cannot open --json file `" + json_path + "`");
-    file << body.str() << "\n";
-    std::cout << rows.size() << " job records written to " << json_path
-              << "\n";
-  }
 
   // Self-check: the campaign passes only if the session served every job
   // correctly and actually exercised the plan cache.
@@ -843,7 +778,7 @@ int cmd_blockpar(const Args& a) {
   cfg.partime = static_cast<int>(a.get("partime", 4));
   cfg.bsize_x = a.get("bsize-x", 136);
   cfg.bsize_y = cfg.dims == 3 ? a.get("bsize-y", 136) : 1;
-  cfg.use_specialized_kernels = !a.generic;
+  cfg.use_specialized_kernels = !a.has("generic");
   cfg.validate();
   const std::int64_t nx = a.get("nx", 512);
   const std::int64_t ny = a.get("ny", 512);
@@ -856,7 +791,7 @@ int cmd_blockpar(const Args& a) {
     std::stringstream ss(a.get_str("workers", "1,2,4,8"));
     std::string tok;
     while (std::getline(ss, tok, ',')) {
-      const int w = std::stoi(tok);
+      const int w = static_cast<int>(parse_int("workers", tok));
       if (w < 1) throw ConfigError("--workers entries must be >= 1");
       worker_counts.push_back(w);
     }
@@ -866,7 +801,7 @@ int cmd_blockpar(const Args& a) {
       *std::max_element(worker_counts.begin(), worker_counts.end());
 
   const TapSet taps =
-      a.box ? make_box_stencil(cfg.dims, cfg.radius)
+      a.has("box") ? make_box_stencil(cfg.dims, cfg.radius)
             : StarStencil::make_benchmark(cfg.dims, cfg.radius).to_taps();
   const AcceleratorConfig rcfg = resolve_stage_lag(taps, cfg);
   const BlockingPlan plan = cfg.dims == 3
@@ -969,80 +904,18 @@ int cmd_blockpar(const Args& a) {
             << (gate_checked ? (gate_ok ? "passed" : "FAILED") : "skipped")
             << ")\n";
 
-  const std::string json_path = a.get_str("json", "");
-  if (!json_path.empty()) {
-    std::ostringstream body;
-    JsonWriter w(body);
-    w.begin_object();
-    w.key("schema_version").value(2);
-    w.key("bench").value("block_parallel_scaling");
-    write_host_profile(w);
-    w.key("paper").value(
-        "High-Performance High-Order Stencil Computation on FPGAs Using "
-        "OpenCL");
-    w.key("workload").begin_object();
-    w.key("dims").value(cfg.dims);
-    w.key("nx").value(nx);
-    w.key("ny").value(ny);
-    w.key("nz").value(nz);
-    w.key("radius").value(cfg.radius);
-    w.key("parvec").value(cfg.parvec);
-    w.key("partime").value(cfg.partime);
-    w.key("bsize_x").value(cfg.bsize_x);
-    w.key("bsize_y").value(cfg.bsize_y);
-    w.key("iters").value(iters);
-    w.key("blocks").value(blocks);
-    w.end_object();
-    w.key("baseline").begin_object();
-    w.key("backend").value(backend_name(ExecutionBackend::sync_sim));
-    w.key("wall_seconds").value(baseline_wall);
-    w.key("cells_per_s").value(baseline_cells_per_s);
-    w.end_object();
-    w.key("runs").begin_array();
-    for (const Row& r : rows) {
-      w.begin_object();
-      w.key("workers").value(r.workers);
-      w.key("resolved_workers").value(r.resolved);
-      w.key("blocks").value(r.blocks);
-      w.key("wall_seconds").value(r.wall);
-      w.key("cells_per_s").value(r.cells_per_s);
-      w.key("blocks_per_s").value(r.blocks_per_s);
-      w.key("speedup_vs_sync").value(r.speedup);
-      w.key("exact").value(r.exact);
-      w.end_object();
-    }
-    w.end_array();
-    w.key("summary").begin_object();
-    w.key("runs").value(std::int64_t(rows.size()));
-    w.key("exact_runs").value(std::int64_t(std::count_if(
-        rows.begin(), rows.end(), [](const Row& r) { return r.exact; })));
-    w.key("max_workers").value(max_workers);
-    w.key("best_speedup").value(best_speedup);
-    w.key("redundancy").value(redundancy);
-    w.key("hardware_concurrency").value(std::int64_t(hc));
-    w.key("speedup_gate_checked").value(gate_checked);
-    w.end_object();
-    w.end_object();
-    if (!json_is_valid(body.str())) {
-      std::cerr << "stencilctl: internal error: blockpar JSON failed "
-                   "validation\n";
-      return 1;
-    }
-    std::ofstream file(json_path);
-    if (!file) {
-      throw ConfigError("cannot open --json file `" + json_path + "`");
-    }
-    file << body.str() << "\n";
-    std::cout << rows.size() << " run records written to " << json_path
-              << "\n";
+  // Block accounting: every run visited each of the plan's blocks on
+  // every pass, and streamed at least the cells it retired.
+  bool blocks_ok = redundancy >= 1.0;
+  for (const Row& r : rows) {
+    blocks_ok = blocks_ok && r.blocks > 0 && r.blocks % blocks == 0;
   }
-
-  std::cout << "campaign "
-            << (all_exact && gate_ok ? "passed" : "FAILED") << ": "
+  const bool ok = all_exact && gate_ok && blocks_ok;
+  std::cout << "campaign " << (ok ? "passed" : "FAILED") << ": "
             << (all_exact ? "all runs bit-exact vs sync sweep"
                           : "run NOT bit-exact vs sync sweep")
-            << "\n";
-  return all_exact && gate_ok ? 0 : 1;
+            << (blocks_ok ? "" : ", block accounting BROKEN") << "\n";
+  return ok ? 0 : 1;
 }
 
 // The chaos campaign: the end-to-end robustness proof for cooperative
@@ -1066,11 +939,11 @@ int cmd_blockpar(const Args& a) {
 // Self-checks: every phase-B job reaches a terminal state; zero
 // unexpected failures; every *done* job bit-exact vs the naive
 // reference; at least one cancellation and one deadline expiry
-// observed; the breaker tripped, rerouted, and recovered; and after
-// drain() the buffer pool has zero outstanding leases (nothing leaked
-// across hundreds of unwinds). --json exports the scorecard
-// (BENCH_PR6.json) including cancel-latency p50/p99 from the
-// engine.cancel_latency_ns histogram.
+// observed, with at least one cancel latency in the engine's
+// engine.cancel_latency_ns histogram (whose p50/p99 the report prints);
+// the breaker tripped, rerouted, and recovered; and after drain() the
+// buffer pool has zero outstanding leases (nothing leaked across
+// hundreds of unwinds).
 int cmd_chaos(const Args& a) {
   const int jobs = static_cast<int>(a.get("jobs", 220));
   const std::uint64_t seed = std::uint64_t(a.get("seed", 42));
@@ -1198,13 +1071,9 @@ int cmd_chaos(const Args& a) {
     JobHandle handle;
     int kind = 0;
     bool cancel_planned = false;
-    bool has_deadline = false;
   };
   std::vector<ChaosJob> fleet;
   fleet.reserve(std::size_t(jobs) + 2);
-  int cancels_requested = 0;
-  int deadlines_assigned = 0;
-  int faulted_jobs = 0;
 
   for (int i = 0; i < jobs; ++i) {
     const int kind = int(rng.next_below(6));
@@ -1232,7 +1101,6 @@ int cmd_chaos(const Args& a) {
       spec.backend = Backend::resilient;
       spec.resilience.base.watchdog_deadline =
           std::chrono::milliseconds(40);
-      ++faulted_jobs;
     }
     ChaosJob job;
     job.kind = kind;
@@ -1242,8 +1110,6 @@ int cmd_chaos(const Args& a) {
       spec.deadline = rng.next_float01() < 0.3f
                           ? std::chrono::milliseconds(1)
                           : std::chrono::milliseconds(5000);
-      job.has_deadline = true;
-      ++deadlines_assigned;
     }
     job.cancel_planned = rng.next_float01() < 0.2f;
     spec.label = "chaos-" + std::to_string(i);
@@ -1270,7 +1136,6 @@ int cmd_chaos(const Args& a) {
     spec.label = "chaos-guaranteed-deadline";
     ChaosJob job;
     job.kind = kStar2;
-    job.has_deadline = true;
     job.handle = engine.submit(std::move(spec));
     fleet.push_back(std::move(job));
   }
@@ -1285,7 +1150,6 @@ int cmd_chaos(const Args& a) {
       std::this_thread::sleep_for(
           std::chrono::microseconds(crng.next_below(2000)));
       job.handle.cancel();
-      ++cancels_requested;
     }
   });
   canceller.join();
@@ -1373,71 +1237,12 @@ int cmd_chaos(const Args& a) {
                                std::to_string(done) + ")");
   check(cancelled >= 1, "at least one cancellation observed");
   check(deadline_exceeded >= 1, "at least one deadline expiry observed");
+  check(lat_count >= 1, "cancel latency recorded (" +
+                            std::to_string(lat_count) + " samples)");
   check(outstanding == 0, "buffer pool has zero outstanding leases");
   check(stats.breaker_trips >= 1 && stats.breaker_reroutes >= 1,
         "breaker tripped and rerouted");
   check(engine.state() == EngineState::stopped, "engine drained to stopped");
-
-  const std::string json_path = a.get_str("json", "");
-  if (!json_path.empty()) {
-    std::ostringstream body;
-    JsonWriter w(body);
-    w.begin_object();
-    w.key("schema_version").value(2);
-    w.key("bench").value("chaos_campaign");
-    write_host_profile(w);
-    w.key("paper").value(
-        "High-Performance High-Order Stencil Computation on FPGAs Using "
-        "OpenCL");
-    w.key("engine").begin_object();
-    w.key("workers").value(eopts.workers);
-    w.key("queue_capacity").value(std::int64_t(eopts.queue_capacity));
-    w.key("breaker_threshold").value(eopts.breaker_threshold);
-    w.key("breaker_cooldown_ms")
-        .value(std::int64_t(eopts.breaker_cooldown.count()));
-    w.end_object();
-    w.key("campaign").begin_object();
-    w.key("jobs").value(total);
-    w.key("seed").value(std::int64_t(seed));
-    w.key("cancels_requested").value(cancels_requested);
-    w.key("deadlines_assigned").value(deadlines_assigned + 1);
-    w.key("faulted_jobs").value(faulted_jobs);
-    w.key("wall_seconds").value(wall_seconds);
-    w.end_object();
-    w.key("results").begin_object();
-    w.key("done").value(done);
-    w.key("cancelled").value(cancelled);
-    w.key("deadline_exceeded").value(deadline_exceeded);
-    w.key("failed").value(failed);
-    w.key("bit_exact").value(bit_exact);
-    w.key("hung").value(hung);
-    w.end_object();
-    w.key("cancel_latency_ns").begin_object();
-    w.key("count").value(lat_count);
-    w.key("p50").value(lat_p50);
-    w.key("p99").value(lat_p99);
-    w.end_object();
-    w.key("breaker").begin_object();
-    w.key("trips").value(stats.breaker_trips);
-    w.key("reroutes").value(stats.breaker_reroutes);
-    w.key("recovered").value(recovered);
-    w.end_object();
-    w.key("pool").begin_object();
-    w.key("outstanding").value(outstanding);
-    w.key("allocations").value(stats.pool_allocations);
-    w.key("reuses").value(stats.pool_reuses);
-    w.end_object();
-    w.end_object();
-    if (!json_is_valid(body.str())) {
-      std::cerr << "stencilctl: internal error: chaos JSON failed "
-                   "validation\n";
-      return 1;
-    }
-    std::ofstream file(json_path);
-    if (!file) throw ConfigError("cannot open --json file `" + json_path + "`");
-    file << body.str() << "\n";
-    std::cout << "chaos scorecard written to " << json_path << "\n";
-  }
 
   std::cout << "chaos campaign "
             << (checks_failed == 0 ? "passed" : "FAILED") << " ("
@@ -1893,126 +1698,6 @@ int cmd_serve(const Args& a) {
                      : "scale probe gate skipped (host too small; "
                        "recorded unchecked)");
 
-  const std::string json_path = a.get_str("json", "");
-  if (!json_path.empty()) {
-    std::ostringstream body;
-    JsonWriter w(body);
-    w.begin_object();
-    w.key("schema_version").value(2);
-    w.key("bench").value("serving_campaign");
-    write_host_profile(w);
-    w.key("paper").value(
-        "High-Performance High-Order Stencil Computation on FPGAs Using "
-        "OpenCL");
-    w.key("cluster").begin_object();
-    w.key("shards").value(shards);
-    w.key("workers_per_shard").value(workers);
-    w.key("vnodes_per_shard").value(copts.vnodes_per_shard);
-    w.key("queue_capacity").value(std::int64_t(copts.engine.queue_capacity));
-    w.key("class_weights").begin_array();
-    for (const int cw : copts.engine.class_weights) w.value(cw);
-    w.end_array();
-    w.end_object();
-    w.key("campaign").begin_object();
-    w.key("jobs_attempted").value(attempted);
-    w.key("quota_proof_jobs").value(proof_jobs);
-    w.key("calibration_jobs").value(calib_jobs);
-    w.key("main_jobs").value(main_jobs);
-    w.key("job_kinds").value(std::int64_t(kinds.size()));
-    w.key("iters").value(iters);
-    w.key("seed").value(std::int64_t(seed));
-    w.key("window").value(window_cap);
-    w.key("wall_seconds").value(wall_seconds);
-    w.end_object();
-    w.key("results").begin_object();
-    w.key("submitted").value(submitted_ok);
-    w.key("rejected").value(rejected);
-    w.key("done").value(done);
-    w.key("failed").value(failed);
-    w.key("hung").value(hung);
-    w.key("bit_exact").value(bit_exact);
-    w.key("sink_jobs").value(sink_jobs);
-    w.key("sink_exact").value(sink_exact);
-    w.key("chunks_delivered").value(chunks_delivered);
-    w.key("faults_fired").value(mallory_faults.total_fires());
-    w.end_object();
-    w.key("classes").begin_array();
-    for (int c = 0; c < kQosClassCount; ++c) {
-      auto& v = lat_main[std::size_t(c)];
-      w.begin_object();
-      w.key("name").value(qos_class_name(QosClass(c)));
-      w.key("jobs").value(std::int64_t(v.size()));
-      w.key("p50_ns").value(pct(v, 0.50));
-      w.key("p99_ns").value(pct(v, 0.99));
-      w.key("p999_ns").value(pct(v, 0.999));
-      w.key("jobs_per_s").value(double(v.size()) / wall_seconds);
-      w.end_object();
-    }
-    w.end_array();
-    w.key("tenants").begin_array();
-    for (int t = 0; t < kTenantCount; ++t) {
-      w.begin_object();
-      w.key("name").value(tenants[std::size_t(t)].name);
-      w.key("class").value(qos_class_name(tenants[std::size_t(t)].qos));
-      w.key("role").value(tenants[std::size_t(t)].role);
-      w.key("submitted").value(t_submitted[std::size_t(t)]);
-      w.key("rejected").value(t_rejected[std::size_t(t)]);
-      w.key("done").value(t_done[std::size_t(t)]);
-      w.key("p50_ns").value(pct(lat_tenant[std::size_t(t)], 0.50));
-      w.key("p99_ns").value(pct(lat_tenant[std::size_t(t)], 0.99));
-      w.end_object();
-    }
-    w.end_array();
-    w.key("shards").begin_array();
-    for (int k = 0; k < shards; ++k) {
-      w.begin_object();
-      w.key("shard").value(k);
-      w.key("jobs_completed").value(shard_completed[std::size_t(k)]);
-      w.key("cache_hit_rate").value(shard_hit_rate[std::size_t(k)]);
-      w.end_object();
-    }
-    w.end_array();
-    w.key("balance").begin_object();
-    w.key("max_over_mean").value(balance_ratio);
-    w.key("bound").value(balance_bound);
-    w.end_object();
-    w.key("isolation").begin_object();
-    w.key("calib_interactive_p99_ns").value(calib_p99_inter);
-    w.key("main_interactive_p99_ns").value(main_p99_inter);
-    w.key("calib_standard_p99_ns").value(calib_p99_std);
-    w.key("main_standard_p99_ns").value(main_p99_std);
-    w.key("passed").value(iso_inter && iso_std);
-    w.end_object();
-    w.key("router").begin_object();
-    w.key("reroutes").value(snap.value_or("cluster.submit_reroutes", 0));
-    w.key("shard_drains").value(snap.value_or("cluster.shard_drains", 0));
-    w.key("shard_reloads").value(snap.value_or("cluster.shard_reloads", 0));
-    w.end_object();
-    w.key("pool").begin_object();
-    w.key("outstanding").value(pool_outstanding);
-    w.end_object();
-    w.key("scale_probe").begin_object();
-    w.key("probe_jobs").value(probe_jobs);
-    w.key("single_wall_seconds").value(probe_single);
-    w.key("cluster_wall_seconds").value(probe_cluster);
-    w.key("speedup").value(probe_speedup);
-    w.key("needed_cores").value(needed_cores);
-    w.key("hardware_concurrency").value(std::int64_t(hc));
-    w.key("speedup_gate_checked").value(gate_checked);
-    w.key("speedup_gate_ok").value(gate_ok);
-    w.end_object();
-    w.end_object();
-    if (!json_is_valid(body.str())) {
-      std::cerr << "stencilctl: internal error: serve JSON failed "
-                   "validation\n";
-      return 1;
-    }
-    std::ofstream file(json_path);
-    if (!file) throw ConfigError("cannot open --json file `" + json_path + "`");
-    file << body.str() << "\n";
-    std::cout << "serving scorecard written to " << json_path << "\n";
-  }
-
   std::cout << "serving campaign "
             << (checks_failed == 0 ? "passed" : "FAILED") << " ("
             << checks_failed << " self-checks failed)\n";
@@ -2023,10 +1708,12 @@ int cmd_serve(const Args& a) {
 // tune: empirical host autotuning (PR 9; docs/TUNING.md). Sweeps the
 // kernel envelope measuring paper-default vs empirically searched block
 // geometry with real runs (the tuner's short probes only pick the plan),
-// verifies bit-exactness at every point, and with --json exports the
-// BENCH_PR9.json "autotune" scorecard. --serve runs the engine
-// integration self-check instead: one search on the first job, then a
-// tuner.cache_hit for every later job on the same spec.
+// verifies bit-exactness at every point, and fails when a point probed
+// no candidate or the envelope's median gain falls below 1.0 (the
+// default geometry is always a candidate, so a working search never
+// loses in the median). --serve runs the engine integration self-check
+// instead: one search on the first job, then a tuner.cache_hit for every
+// later job on the same spec.
 
 TapSet tune_taps(StencilShape shape, int dims, int radius) {
   if (shape == StencilShape::kStar) {
@@ -2077,24 +1764,13 @@ double tune_time_run(const TapSet& taps, const AcceleratorConfig& cfg,
 
 struct TunePoint {
   std::string name;
-  StencilShape shape = StencilShape::kStar;
-  int dims = 2, radius = 1, parvec = 4;
-  std::int64_t nx = 0, ny = 0, nz = 1;
-  int iters = 0;
-  std::string default_config, model_config, tuned_config;
+  std::string tuned_config;
   double default_mcells = 0.0;
-  double model_mcells = 0.0;
   double tuned_mcells = 0.0;
-  double probe_tuned_mcells = 0.0;
-  double probe_baseline_mcells = 0.0;
   std::int64_t candidates_probed = 0;
-  std::int64_t search_ns = 0;
   bool exact = true;
   [[nodiscard]] double gain() const {
     return default_mcells > 0.0 ? tuned_mcells / default_mcells : 0.0;
-  }
-  [[nodiscard]] double model_gain() const {
-    return default_mcells > 0.0 ? model_mcells / default_mcells : 0.0;
   }
 };
 
@@ -2105,55 +1781,33 @@ TunePoint tune_point(HostAutotuner& tuner, StencilShape shape, int radius,
   const TapSet taps = tune_taps(shape, dims, radius);
   const AcceleratorConfig base = tune_default_config(dims, radius);
 
+  std::int64_t nz = 1;
+  if constexpr (dims == 3) nz = init.nz();
+  const std::int64_t cells = init.nx() * init.ny() * nz;
+  const int iters = base.partime;
+
   TunePoint r;
-  r.shape = shape;
-  r.dims = dims;
-  r.radius = radius;
-  r.parvec = base.parvec;
-  r.nx = init.nx();
-  r.ny = init.ny();
-  if constexpr (dims == 3) r.nz = init.nz();
-  r.iters = base.partime;
   r.name = std::string(stencil_shape_name(shape)) + "_" +
            std::to_string(dims) + "d_r" + std::to_string(radius);
-  const std::int64_t cells = r.nx * r.ny * r.nz;
 
   // Search first (its probes never touch the measurement grids), then
   // measure the winner with a real run on the target grid.
-  const AutotuneOutcome found = tuner.search(taps, base, r.nx, r.ny, r.nz);
-  r.probe_tuned_mcells = found.tuned_mcells;
-  r.probe_baseline_mcells = found.baseline_mcells;
+  const AutotuneOutcome found =
+      tuner.search(taps, base, init.nx(), init.ny(), nz);
   r.candidates_probed = found.candidates_probed;
-  r.search_ns = found.search_ns;
-
-  // What a model-only tuner would pick: the lowest-cost non-default
-  // candidate from the cache-model seeding.
-  const std::vector<AcceleratorConfig> candidates =
-      enumerate_plan_candidates(base, r.nx, r.ny, r.nz);
-  const AcceleratorConfig model_cfg =
-      candidates.size() > 1 ? candidates[1] : base;
-
-  r.default_config = tune_geometry(base);
-  r.model_config = tune_geometry(model_cfg);
   r.tuned_config = tune_geometry(found.config);
 
   GridT reference = init;
-  r.default_mcells = tune_mcells(
-      cells, r.iters, tune_time_run(taps, base, reference, r.iters));
-
-  const auto measure_vs_reference = [&](const AcceleratorConfig& cfg,
-                                        double& out_mcells) {
-    if (tune_same_geometry(cfg, base)) {
-      out_mcells = r.default_mcells;  // same plan: same bits, same speed
-      return;
-    }
+  r.default_mcells =
+      tune_mcells(cells, iters, tune_time_run(taps, base, reference, iters));
+  if (tune_same_geometry(found.config, base)) {
+    r.tuned_mcells = r.default_mcells;  // same plan: same bits, same speed
+  } else {
     GridT alt = init;
-    out_mcells = tune_mcells(cells, r.iters,
-                             tune_time_run(taps, cfg, alt, r.iters));
-    r.exact = r.exact && compare_exact(alt, reference).identical();
-  };
-  measure_vs_reference(model_cfg, r.model_mcells);
-  measure_vs_reference(found.config, r.tuned_mcells);
+    r.tuned_mcells = tune_mcells(
+        cells, iters, tune_time_run(taps, found.config, alt, iters));
+    r.exact = compare_exact(alt, reference).identical();
+  }
   return r;
 }
 
@@ -2230,13 +1884,12 @@ int cmd_tune_serve(const Args& a) {
 }
 
 int cmd_tune(const Args& a) {
-  if (a.serve) return cmd_tune_serve(a);
+  if (a.has("serve")) return cmd_tune_serve(a);
 
-  const bool full = a.full;
+  const bool full = a.has("full");
   const std::int64_t n2d = a.get("n2d", full ? 4096 : 256);
   const std::int64_t n3d = a.get("n3d", full ? 160 : 48);
   const std::int64_t accept_n = a.get("accept-n", full ? 512 : 64);
-  const std::string json_path = a.get_str("json", "");
 
   HostAutotunerOptions topts;
   topts.cache_path = a.get_str("cache", "");
@@ -2249,8 +1902,9 @@ int cmd_tune(const Args& a) {
   Grid3D<float> init3(n3d, n3d, n3d);
   init3.fill_random(32, -1.0f, 1.0f);
 
-  bool ok = true;
-  std::vector<TunePoint> envelope;
+  bool exact = true;
+  bool probed = true;
+  std::vector<double> gains;
   TextTable t({"point", "default Mc/s", "tuned Mc/s", "tuned geom", "gain",
                "probes", "exact"});
   for (StencilShape shape : {StencilShape::kStar, StencilShape::kBox}) {
@@ -2259,13 +1913,14 @@ int cmd_tune(const Args& a) {
         const TunePoint r = dims == 2
                                 ? tune_point(tuner, shape, rad, init2)
                                 : tune_point(tuner, shape, rad, init3);
-        ok = ok && r.exact;
+        exact = exact && r.exact;
+        probed = probed && r.candidates_probed >= 1;
+        gains.push_back(r.gain());
         t.add_row({r.name, format_fixed(r.default_mcells, 1),
                    format_fixed(r.tuned_mcells, 1), r.tuned_config,
                    "x" + format_fixed(r.gain(), 2),
                    std::to_string(r.candidates_probed),
                    r.exact ? "yes" : "NO"});
-        envelope.push_back(r);
       }
     }
   }
@@ -2299,7 +1954,7 @@ int cmd_tune(const Args& a) {
         acells, aiters, tune_time_run(ataps, afound.config, alt, aiters));
     a_exact = compare_exact(alt, areference).identical();
   }
-  ok = ok && a_exact;
+  exact = exact && a_exact;
   const double a_gain = a_default > 0.0 ? a_tuned / a_default : 0.0;
   std::cout << "acceptance " << acfg.describe() << " grid " << accept_n
             << "^3: default " << format_fixed(a_default, 1)
@@ -2308,9 +1963,6 @@ int cmd_tune(const Args& a) {
             << format_fixed(a_gain, 2) << ", exact "
             << (a_exact ? "yes" : "NO") << "\n";
 
-  std::vector<double> gains;
-  gains.reserve(envelope.size());
-  for (const TunePoint& r : envelope) gains.push_back(r.gain());
   std::sort(gains.begin(), gains.end());
   const double min_gain = gains.empty() ? 0.0 : gains.front();
   const double max_gain = gains.empty() ? 0.0 : gains.back();
@@ -2319,85 +1971,14 @@ int cmd_tune(const Args& a) {
             << ", median x" << format_fixed(med_gain, 2) << ", max x"
             << format_fixed(max_gain, 2) << "\n";
 
-  if (!json_path.empty()) {
-    std::ostringstream body;
-    JsonWriter w(body);
-    w.begin_object();
-    w.key("schema_version").value(2);
-    w.key("bench").value("autotune");
-    write_host_profile(w);
-    w.key("paper").value(
-        "High-Performance High-Order Stencil Computation on FPGAs Using "
-        "OpenCL");
-    w.key("mode").value(full ? "full" : "reduced");
-    w.key("probe_cells").value(topts.probe_cells);
-    w.key("envelope").begin_array();
-    for (const TunePoint& r : envelope) {
-      w.begin_object();
-      w.key("name").value(r.name);
-      w.key("shape").value(stencil_shape_name(r.shape));
-      w.key("dims").value(r.dims);
-      w.key("radius").value(r.radius);
-      w.key("parvec").value(r.parvec);
-      w.key("nx").value(r.nx);
-      w.key("ny").value(r.ny);
-      w.key("nz").value(r.nz);
-      w.key("iters").value(r.iters);
-      w.key("default_config").value(r.default_config);
-      w.key("model_config").value(r.model_config);
-      w.key("tuned_config").value(r.tuned_config);
-      w.key("default_mcells_per_s").value(r.default_mcells);
-      w.key("model_mcells_per_s").value(r.model_mcells);
-      w.key("tuned_mcells_per_s").value(r.tuned_mcells);
-      w.key("probe_tuned_mcells_per_s").value(r.probe_tuned_mcells);
-      w.key("probe_baseline_mcells_per_s").value(r.probe_baseline_mcells);
-      w.key("gain").value(r.gain());
-      w.key("model_gain").value(r.model_gain());
-      w.key("candidates_probed").value(r.candidates_probed);
-      w.key("search_ns").value(r.search_ns);
-      w.key("exact").value(r.exact);
-      w.end_object();
-    }
-    w.end_array();
-    w.key("acceptance").begin_object();
-    w.key("config").value(acfg.describe());
-    w.key("tuned_config").value(tune_geometry(afound.config));
-    w.key("nx").value(ainit.nx());
-    w.key("ny").value(ainit.ny());
-    w.key("nz").value(ainit.nz());
-    w.key("iters").value(aiters);
-    w.key("default_mcells_per_s").value(a_default);
-    w.key("tuned_mcells_per_s").value(a_tuned);
-    w.key("gain").value(a_gain);
-    w.key("candidates_probed").value(afound.candidates_probed);
-    w.key("search_ns").value(afound.search_ns);
-    w.key("exact").value(a_exact);
-    w.end_object();
-    w.key("summary").begin_object();
-    w.key("points").value(std::int64_t(envelope.size()));
-    w.key("exact_points")
-        .value(std::int64_t(std::count_if(
-            envelope.begin(), envelope.end(),
-            [](const TunePoint& r) { return r.exact; })));
-    w.key("min_gain").value(min_gain);
-    w.key("median_gain").value(med_gain);
-    w.key("max_gain").value(max_gain);
-    w.end_object();
-    w.end_object();
-    if (!json_is_valid(body.str())) {
-      std::cerr << "stencilctl: internal error: tune JSON failed "
-                   "validation\n";
-      return 1;
-    }
-    std::ofstream file(json_path);
-    if (!file) throw ConfigError("cannot open --json file `" + json_path + "`");
-    file << body.str() << "\n";
-    std::cout << "autotune scorecard written to " << json_path << "\n";
-  }
-
-  if (!ok) {
-    std::cerr << "SELF-CHECK FAILED: a tuned geometry diverged from the "
-                 "paper-default result\n";
+  const bool gain_ok = med_gain >= 1.0;
+  if (!exact || !probed || !gain_ok) {
+    std::cerr << "SELF-CHECK FAILED:"
+              << (exact ? "" : " a tuned geometry diverged from the "
+                               "paper-default result;")
+              << (probed ? "" : " a point probed no candidate;")
+              << (gain_ok ? "" : " the envelope's median gain is below 1.0")
+              << "\n";
     return 1;
   }
   return 0;
@@ -2636,8 +2217,8 @@ int cmd_program(const Args& a) {
                "exact", "affinity", "Mcup/s"});
   bool ok = leaked == 0;
   for (const ProgramCampaignRow& r : rows) {
-    const bool row_ok = r.exact && r.chunks_exact && r.second_run_cache_hit &&
-                        r.route_stable &&
+    const bool row_ok = r.exact && r.chunks_exact && r.chunks_delivered >= 1 &&
+                        r.second_run_cache_hit && r.route_stable &&
                         r.nodes_scheduled ==
                             std::int64_t(r.nodes) * std::int64_t(r.steps);
     ok = ok && row_ok;
@@ -2661,94 +2242,72 @@ int cmd_program(const Args& a) {
             << fallback << " interpreter fallback\n";
   ok = ok && specialized > 0 && fallback == 0;
 
-  const std::string json_path = a.get_str("json", "");
-  if (!json_path.empty()) {
-    std::ostringstream body;
-    JsonWriter w(body);
-    w.begin_object();
-    w.key("schema_version").value(2);
-    w.key("bench").value("program_campaign");
-    write_host_profile(w);
-    w.key("paper").value(
-        "High-Performance High-Order Stencil Computation on FPGAs Using "
-        "OpenCL");
-    w.key("cluster").begin_object();
-    w.key("shards").value(copts.shards);
-    w.key("workers").value(copts.engine.workers);
-    w.end_object();
-    w.key("campaigns").begin_array();
-    for (const ProgramCampaignRow& r : rows) {
-      w.begin_object();
-      w.key("name").value(r.name);
-      w.key("dims").value(r.dims);
-      w.key("nx").value(r.nx);
-      w.key("ny").value(r.ny);
-      w.key("nz").value(r.nz);
-      w.key("fields").value(r.fields);
-      w.key("nodes").value(r.nodes);
-      w.key("steps").value(r.steps);
-      w.key("nodes_scheduled").value(r.nodes_scheduled);
-      w.key("chunks_delivered").value(r.chunks_delivered);
-      w.key("exact").value(r.exact);
-      w.key("chunks_exact").value(r.chunks_exact);
-      w.key("second_run_cache_hit").value(r.second_run_cache_hit);
-      w.key("route_stable").value(r.route_stable);
-      w.key("wall_seconds").value(r.wall_seconds);
-      w.key("mcups").value(r.mcups);
-      w.end_object();
-    }
-    w.end_array();
-    w.key("summary").begin_object();
-    w.key("campaigns").value(std::int64_t(rows.size()));
-    w.key("all_exact").value(ok);
-    w.key("leaked_leases").value(leaked);
-    w.end_object();
-    w.end_object();
-    if (!json_is_valid(body.str())) {
-      std::cerr << "stencilctl: internal error: program JSON failed "
-                   "validation\n";
-      return 1;
-    }
-    std::ofstream file(json_path);
-    if (!file) throw ConfigError("cannot open --json file `" + json_path + "`");
-    file << body.str() << "\n";
-    std::cout << rows.size() << " campaign records written to " << json_path
-              << "\n";
-  }
-
   std::cout << "program campaigns " << (ok ? "passed" : "FAILED") << "\n";
   return ok ? 0 : 1;
 }
 
+/// Every command and the flags it reads, in the grammar parse_args
+/// validates against: a flag followed by a placeholder takes a value.
+struct Command {
+  std::string name;
+  std::string flags;
+  int (*run)(const Args&);
+};
+
+const std::vector<Command>& commands() {
+  const std::string config =
+      "--dims 2|3 --radius R --bsize-x B --bsize-y B --parvec V --partime T";
+  const std::string grid = " --nx N --ny N --nz N --iters I";
+  const std::string dataflow = config + grid + " --box --depth D --out FILE";
+  static const std::vector<Command> table = {
+      {"devices", "", [](const Args&) { return cmd_devices(); }},
+      {"explore",
+       "--dims 2|3 --radius R --device NAME --nx N --ny N --nz N --top K",
+       cmd_explore},
+      {"tune",
+       "--full --n2d N --n3d N --accept-n N --cache FILE --probe-cells C "
+       "--serve --jobs N --workers W",
+       cmd_tune},
+      {"model", config + " --device NAME --nx N --ny N --nz N", cmd_model},
+      {"codegen", config + " --box", cmd_codegen},
+      {"simulate", config + grid + " --box --backend NAME --workers W",
+       cmd_simulate},
+      {"blockpar", config + grid + " --box --generic --workers LIST",
+       cmd_blockpar},
+      {"faults",
+       "--plan SPEC --radius R --bsize-x B --parvec V --partime T --nx N "
+       "--ny N --iters I --boards B --device NAME",
+       cmd_faults},
+      {"metrics", dataflow + " --format table|json|csv", cmd_metrics},
+      {"trace", dataflow, cmd_trace},
+      {"engine", "--jobs N --workers W --iters I --queue Q", cmd_engine},
+      {"serve", "--jobs N --shards S --workers W --iters I --seed S --window W",
+       cmd_serve},
+      {"chaos", "--jobs N --workers W --seed S", cmd_chaos},
+      {"program",
+       "--n2d N --n3d N --steps S --steps3d S --shards S --workers W",
+       cmd_program},
+  };
+  return table;
+}
+
 int usage() {
-  std::cerr
-      << "usage: stencilctl "
-         "<devices|explore|tune|model|codegen|simulate|blockpar|faults|"
-         "metrics|trace|engine|serve|chaos|program> [flags]\n"
-         "  common flags: --dims 2|3 --radius R --bsize-x B --bsize-y B\n"
-         "                --parvec V --partime T --device NAME\n"
-         "                --nx N --ny N --nz N --iters I --top K --box\n"
-         "  simulate flags: --backend automatic|sync_sim|concurrent|\n"
-         "                  block_parallel|resilient --workers W\n"
-         "  blockpar flags: --workers LIST (e.g. 1,2,4,8)\n"
-         "                  --generic (force the interpreter path)\n"
-         "                  --json BENCH_PR5.json\n"
-         "  faults flags: --plan SPEC (else $FPGASTENCIL_FAULT_PLAN, else a\n"
-         "                demo campaign) --boards B\n"
-         "  metrics flags: --format table|json|csv --out FILE --depth D\n"
-         "  trace flags:   --out trace.json --depth D\n"
-         "  engine flags:  --jobs N --workers W --iters I --queue Q\n"
-         "                 --json BENCH_PR3.json\n"
-         "  serve flags:   --jobs N --shards S --workers W --iters I\n"
-         "                 --seed S --window W --json BENCH_PR8.json\n"
-         "  chaos flags:   --jobs N --workers W --seed S\n"
-         "                 --json BENCH_PR6.json\n"
-         "  program flags: --n2d N --n3d N --steps S --steps3d S\n"
-         "                 --shards S --workers W --json BENCH_PR10.json\n"
-         "  explore flags: --dims D --radius R --device NAME --top K\n"
-         "  tune flags:    --full --json BENCH_PR9.json --cache FILE\n"
-         "                 --probe-cells C --n2d N --n3d N --accept-n N\n"
-         "                 --serve (engine telemetry self-check)\n";
+  std::cerr << "usage: stencilctl <command> [flags]; each command takes "
+               "only its own flags:\n";
+  for (const Command& c : commands()) {
+    std::cerr << "  " << c.name;
+    std::size_t col = 2 + c.name.size();
+    std::istringstream ss(c.flags);
+    for (std::string tok; ss >> tok;) {
+      if (tok.rfind("--", 0) == 0 && col + tok.size() > 72) {
+        std::cerr << "\n           ";
+        col = 11;
+      }
+      std::cerr << " " << tok;
+      col += 1 + tok.size();
+    }
+    std::cerr << "\n";
+  }
   return 2;
 }
 
@@ -2756,24 +2315,14 @@ int usage() {
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string cmd = argv[1];
+  const std::string name = argv[1];
+  const auto& table = commands();
+  const auto cmd =
+      std::find_if(table.begin(), table.end(),
+                   [&](const Command& c) { return c.name == name; });
+  if (cmd == table.end()) return usage();
   try {
-    const Args a = parse_args(argc, argv, 2);
-    if (cmd == "devices") return cmd_devices();
-    if (cmd == "explore") return cmd_explore(a);
-    if (cmd == "tune") return cmd_tune(a);
-    if (cmd == "model") return cmd_model(a);
-    if (cmd == "codegen") return cmd_codegen(a);
-    if (cmd == "simulate") return cmd_simulate(a);
-    if (cmd == "blockpar") return cmd_blockpar(a);
-    if (cmd == "faults") return cmd_faults(a);
-    if (cmd == "metrics") return cmd_metrics(a);
-    if (cmd == "trace") return cmd_trace(a);
-    if (cmd == "engine") return cmd_engine(a);
-    if (cmd == "serve") return cmd_serve(a);
-    if (cmd == "chaos") return cmd_chaos(a);
-    if (cmd == "program") return cmd_program(a);
-    return usage();
+    return cmd->run(parse_args(name, cmd->flags, argc, argv, 2));
   } catch (const std::exception& e) {
     std::cerr << "stencilctl: " << e.what() << "\n";
     return 2;
