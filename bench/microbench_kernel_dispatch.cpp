@@ -1,12 +1,15 @@
 // Single-thread throughput of the specialized kernel library vs the
 // scalar interpreter, per envelope point, plus the PR 7 acceptance
-// workload (3D star, radius 4, partime 4) and a block-parallel scaling
-// rerun on top of the specialized kernels.
+// workload (3D star, radius 4, partime 4), a block-parallel scaling
+// rerun on top of the specialized kernels, and one narrow-block 2D pass
+// (an FDTD program node's geometry) handed to the kernel as one call per
+// block and as one run of every block.
 //
 // Every measured pair is also an exactness check: the specialized run
 // must match the interpreter bit-for-bit (and the block-parallel runs
-// must match the sync run), so the benchmark doubles as a self-test and
-// exits nonzero on any mismatch or missing dispatch. Default sizes are
+// must match the sync run, the run call the one-block calls), so the
+// benchmark doubles as a self-test and exits nonzero on any mismatch or
+// missing dispatch; speeds are printed, not gated. Default sizes are
 // CI-small; --full selects the acceptance sizes (512^3). Host throughput
 // is recorded by perfbench (BENCHMARK.json), not here.
 #include <algorithm>
@@ -127,6 +130,62 @@ PointResult measure_point(StencilShape shape, int radius, int parvec,
   r.specialized_mcells = mcells_per_s(cells, iters, t_spec);
   r.exact = compare_exact(work, reference).identical();
   return r;
+}
+
+/// One FDTD node pass (hx += 0.5*(ez(x, y+1) - ez(x, y)): a 2-tap table,
+/// dirichlet(0), an add store, bsize_x 64, parvec 4, one step) on a
+/// 1024x768 grid, as one kernel call per block and as one run call over
+/// all 17 blocks, alternating in this process. One block at a time reads
+/// 256-byte row segments 4 KiB apart; the run reads whole grid rows.
+/// Prints the best of each; returns false unless both outputs are
+/// bit-identical.
+bool measure_narrow_blocks() {
+  const TapSet taps(2, 1, {Tap{0, 0, 0, -0.5f}, Tap{0, 1, 0, 0.5f}},
+                    BoundaryCondition::dirichlet(0.0f));
+  AcceleratorConfig cfg;
+  cfg.dims = 2;
+  cfg.radius = 1;
+  cfg.parvec = 4;
+  cfg.partime = 1;
+  cfg.bsize_x = 64;
+  cfg = resolve_stage_lag(taps, cfg);
+  Grid2D<float> in(1024, 768), prev(1024, 768);
+  in.fill_random(24, -1.0f, 1.0f);
+  prev.fill_random(25, -1.0f, 1.0f);
+  Grid2D<float> by_block(in.nx(), in.ny()), by_run(in.nx(), in.ny());
+  const BlockingPlan plan = make_blocking_plan(cfg, in.nx(), in.ny());
+  const SpecializedKernel* k = KernelRegistry::instance().find(taps, cfg);
+  if (k == nullptr) return false;
+  std::vector<float> coeffs;
+  for (const Tap& t : taps.taps()) coeffs.push_back(t.coeff);
+  const StoreOp add = StoreOp::add(prev.data());
+
+  const auto cells = std::int64_t(in.size());
+  RunStats stats;
+  double best_block = 0.0, best_run = 0.0;
+  for (int rep = 0; rep < 15; ++rep) {
+    const Stopwatch block_clock;
+    for (std::int64_t b = 0; b < plan.total_blocks(); ++b) {
+      k->run_2d(plan, block_extent(plan, b), in, by_block, 1, coeffs.data(),
+                stats, nullptr, taps.boundary(), add);
+    }
+    const double t_block = double(block_clock.nanoseconds()) / 1e9;
+    const Stopwatch run_clock;
+    k->run_2d(plan, 0, plan.total_blocks(), in, by_run, 1, coeffs.data(),
+              stats, nullptr, taps.boundary(), add);
+    const double t_run = double(run_clock.nanoseconds()) / 1e9;
+    best_block = std::max(best_block, mcells_per_s(cells, 1, t_block));
+    best_run = std::max(best_run, mcells_per_s(cells, 1, t_run));
+  }
+  const bool exact = compare_exact(by_run, by_block).identical();
+  std::cout << "\nnarrow blocks (FDTD node: " << in.nx() << "x" << in.ny()
+            << ", " << k->name << ", dirichlet(0), add, bsize_x "
+            << cfg.bsize_x << ", " << plan.total_blocks()
+            << " blocks, best of 15): one-block calls " << best_block
+            << " Mcell/s, one run " << best_run << " Mcell/s, x"
+            << (best_block > 0.0 ? best_run / best_block : 0.0) << ", exact "
+            << (exact ? "yes" : "NO") << "\n";
+  return exact;
 }
 
 bool parse_args(int argc, char** argv, Options& opt) {
@@ -269,6 +328,8 @@ int main(int argc, char** argv) {
               << " Mcell/s, x" << (sync_mc > 0.0 ? mcells / sync_mc : 0.0)
               << " vs sync, exact " << (exact ? "yes" : "NO") << "\n";
   }
+
+  ok = measure_narrow_blocks() && ok;
 
   std::sort(speedups.begin(), speedups.end());
   std::cout << "\nenvelope speedups: min x" << speedups.front()

@@ -29,14 +29,16 @@ void store_cell(const StoreOp& store, const GridT& out, float& cell, float v) {
   cell = store.is_add() ? store.prev[&cell - out.data()] + v : v;
 }
 
-/// Runs the block on a registry kernel if this configuration has one.
-/// Returns false (periodic, off-envelope or dispatch disabled) when the
-/// caller must fall back to the interpreter. Telemetry, when attached:
-/// hit/miss counters plus a per-kernel retired-cell throughput gauge.
+/// Runs blocks [first, first + count) on a registry kernel if this
+/// configuration has one: one registry lookup per run. Returns false
+/// (periodic, off-envelope or dispatch disabled) when the caller must fall
+/// back to the interpreter. Telemetry, when attached: hit/miss counters
+/// (per block) plus a per-kernel retired-cell throughput gauge (per run).
 template <typename GridT>
 bool try_specialized(std::vector<ProcessingElement>& pes,
-                     const BlockingPlan& plan, const BlockExtent& blk,
-                     const GridT& in, GridT& out, int steps, RunStats& stats,
+                     const BlockingPlan& plan, std::int64_t first,
+                     std::int64_t count, const GridT& in, GridT& out,
+                     int steps, RunStats& stats,
                      const CancellationToken* cancel, const StoreOp& store) {
   const AcceleratorConfig& cfg = plan.config;
   if (!cfg.use_specialized_kernels || pes.empty()) return false;
@@ -47,7 +49,7 @@ bool try_specialized(std::vector<ProcessingElement>& pes,
   const SpecializedKernel* kernel = KernelRegistry::instance().find(taps, cfg);
   if (kernel == nullptr) return false;
   Telemetry* const tel = cfg.telemetry;
-  if (tel) tel->metrics().counter("kernels.dispatch_specialized").add(1);
+  if (tel) tel->metrics().counter("kernels.dispatch_specialized").add(count);
 
   // Coefficients travel as runtime data in tap (= accumulation) order;
   // one specialized instantiation serves every coefficient set.
@@ -60,11 +62,11 @@ bool try_specialized(std::vector<ProcessingElement>& pes,
   const std::int64_t written_before = stats.cells_written;
   const Stopwatch clock;
   if constexpr (std::is_same_v<GridT, Grid2D<float>>) {
-    kernel->run_2d(plan, blk, in, out, steps, cf.data(), stats, cancel,
-                   taps.boundary(), store);
+    kernel->run_2d(plan, first, count, in, out, steps, cf.data(), stats,
+                   cancel, taps.boundary(), store);
   } else {
-    kernel->run_3d(plan, blk, in, out, steps, cf.data(), stats, cancel,
-                   taps.boundary(), store);
+    kernel->run_3d(plan, first, count, in, out, steps, cf.data(), stats,
+                   cancel, taps.boundary(), store);
   }
   if (tel) {
     const std::int64_t ns = clock.nanoseconds();
@@ -78,22 +80,55 @@ bool try_specialized(std::vector<ProcessingElement>& pes,
   return true;
 }
 
+template <typename GridT>
+void stream_run(std::vector<ProcessingElement>& pes, const BlockingPlan& plan,
+                std::int64_t first, std::int64_t count, const GridT& in,
+                GridT& out, int steps, std::span<float> va,
+                std::span<float> vb, RunStats& stats,
+                const CancellationToken* cancel, const StoreOp& store) {
+  if (try_specialized(pes, plan, first, count, in, out, steps, stats, cancel,
+                      store)) {
+    return;
+  }
+  if (plan.config.telemetry) {
+    plan.config.telemetry->metrics().counter("kernels.dispatch_fallback")
+        .add(count);
+  }
+  for (std::int64_t b = first; b < first + count; ++b) {
+    stream_block_generic(pes, plan, block_extent(plan, b), in, out, steps, va,
+                         vb, stats, cancel, store);
+  }
+}
+
 }  // namespace
+
+void stream_block(std::vector<ProcessingElement>& pes,
+                  const BlockingPlan& plan, std::int64_t first,
+                  std::int64_t count, const Grid2D<float>& in,
+                  Grid2D<float>& out, int steps, std::span<float> va,
+                  std::span<float> vb, RunStats& stats,
+                  const CancellationToken* cancel, const StoreOp& store) {
+  stream_run(pes, plan, first, count, in, out, steps, va, vb, stats, cancel,
+             store);
+}
+
+void stream_block(std::vector<ProcessingElement>& pes,
+                  const BlockingPlan& plan, std::int64_t first,
+                  std::int64_t count, const Grid3D<float>& in,
+                  Grid3D<float>& out, int steps, std::span<float> va,
+                  std::span<float> vb, RunStats& stats,
+                  const CancellationToken* cancel, const StoreOp& store) {
+  stream_run(pes, plan, first, count, in, out, steps, va, vb, stats, cancel,
+             store);
+}
 
 void stream_block(std::vector<ProcessingElement>& pes,
                   const BlockingPlan& plan, const BlockExtent& blk,
                   const Grid2D<float>& in, Grid2D<float>& out, int steps,
                   std::span<float> va, std::span<float> vb, RunStats& stats,
                   const CancellationToken* cancel, const StoreOp& store) {
-  if (try_specialized(pes, plan, blk, in, out, steps, stats, cancel, store)) {
-    return;
-  }
-  if (plan.config.telemetry) {
-    plan.config.telemetry->metrics().counter("kernels.dispatch_fallback")
-        .add(1);
-  }
-  stream_block_generic(pes, plan, blk, in, out, steps, va, vb, stats, cancel,
-                       store);
+  stream_run(pes, plan, blk.index, 1, in, out, steps, va, vb, stats, cancel,
+             store);
 }
 
 void stream_block(std::vector<ProcessingElement>& pes,
@@ -101,15 +136,8 @@ void stream_block(std::vector<ProcessingElement>& pes,
                   const Grid3D<float>& in, Grid3D<float>& out, int steps,
                   std::span<float> va, std::span<float> vb, RunStats& stats,
                   const CancellationToken* cancel, const StoreOp& store) {
-  if (try_specialized(pes, plan, blk, in, out, steps, stats, cancel, store)) {
-    return;
-  }
-  if (plan.config.telemetry) {
-    plan.config.telemetry->metrics().counter("kernels.dispatch_fallback")
-        .add(1);
-  }
-  stream_block_generic(pes, plan, blk, in, out, steps, va, vb, stats, cancel,
-                       store);
+  stream_run(pes, plan, blk.index, 1, in, out, steps, va, vb, stats, cancel,
+             store);
 }
 
 void stream_block_generic(std::vector<ProcessingElement>& pes,

@@ -18,17 +18,12 @@ AcceleratorConfig resolve_stage_lag(const TapSet& taps,
   FPGASTENCIL_EXPECT(taps.dims() == cfg.dims && taps.radius() <= cfg.radius,
                      "tap set and configuration disagree on dims/radius");
   if (cfg.stage_lag == 0) {
-    std::int64_t max_flat = taps.max_flat_offset(cfg.bsize_x, cfg.row_cells());
-    // Reflective borders can mirror any tap to its abs-valued image, so
-    // the shift register's forward reach is the abs worst case (equal to
-    // the plain max for star/box sets, larger only for asymmetric shapes).
-    if (taps.boundary().kind == BoundaryKind::reflective) {
-      max_flat = std::max(max_flat,
-                          taps.max_abs_flat_offset(cfg.bsize_x,
-                                                   cfg.row_cells()));
-    }
-    const std::int64_t rows = ceil_div(
-        std::max<std::int64_t>(max_flat, 1), cfg.row_cells());
+    // The forward reach after any border remap (TapSet::remapped_reach),
+    // the same bound the PEs size their shift registers from.
+    const std::int64_t fwd =
+        taps.remapped_reach(cfg.bsize_x, cfg.row_cells()).fwd;
+    const std::int64_t rows =
+        ceil_div(std::max<std::int64_t>(fwd, 1), cfg.row_cells());
     cfg.stage_lag = static_cast<int>(std::max<std::int64_t>(rows, 1));
   }
   return cfg;
@@ -154,11 +149,11 @@ void StencilAccelerator::run_pass(const GridT& in, GridT& out, int steps,
   } else {
     plan = make_blocking_plan(cfg_, in.nx(), in.ny());
   }
-  for (std::int64_t b = 0; b < plan.total_blocks(); ++b) {
-    stream_block(pes_, plan, block_extent(plan, b), in, out, steps,
-                 std::span<float>(vec_a_), std::span<float>(vec_b_), stats,
-                 cancel, store);
-  }
+  // The whole pass is one run, which a 2D kernel streams row by row
+  // across all its blocks (kernels/run_specialized_impl.hpp).
+  stream_block(pes_, plan, 0, plan.total_blocks(), in, out, steps,
+               std::span<float>(vec_a_), std::span<float>(vec_b_), stats,
+               cancel, store);
 }
 
 }  // namespace fpga_stencil

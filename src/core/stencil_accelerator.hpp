@@ -93,8 +93,9 @@ struct RunStats {
 };
 
 /// Validates `cfg` and resolves an automatic (0) stage_lag to the tap
-/// set's forward reach in whole rows: radius for star stencils, radius+1
-/// for shapes whose farthest tap crosses a row boundary (box corners).
+/// set's forward reach after any border remap (TapSet::remapped_reach) in
+/// whole rows: radius for star stencils, radius+1 for shapes whose
+/// farthest tap crosses a row boundary (box corners).
 /// This is the exact derivation every executor and the engine's plan
 /// cache share, so a cached plan equals what StencilAccelerator runs.
 AcceleratorConfig resolve_stage_lag(const TapSet& taps,

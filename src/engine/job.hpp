@@ -358,6 +358,8 @@ struct JobState {
   CancellationToken token;
   /// Engine-wide dispatch order, stamped when a worker dequeues the job.
   std::int64_t dispatch_seq = -1;
+  /// When a worker dequeued the job (the end of its queue wait).
+  std::chrono::steady_clock::time_point dispatch_time;
 };
 
 }  // namespace detail

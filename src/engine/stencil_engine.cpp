@@ -318,6 +318,7 @@ void StencilEngine::worker_loop(int worker_id) {
       }
       job = queue_.pop();
       job->dispatch_seq = dispatch_seq_++;
+      job->dispatch_time = std::chrono::steady_clock::now();
       ++active_;
       running_.push_back(job);
       telemetry_->metrics().gauge(m("queue_depth"))
@@ -566,12 +567,15 @@ void StencilEngine::deliver_chunks(const JobSpec& spec, JobResult& result) {
 }
 
 void StencilEngine::finish_cancelled(detail::JobState& job, bool deadline) {
-  // Cancel latency: token trip -> job terminal. For a pre-cancelled
-  // queued job this is dominated by dispatch delay; for a running job it
-  // is the cooperative unwind (bounded by one block's streaming time).
+  // Cancel latency: the later of token trip and dispatch -> job terminal.
+  // For a running job it is the cooperative unwind (bounded by one
+  // block's streaming time). A job cancelled while queued counts from its
+  // dispatch: the wait before that is queue wait, which queue_wait_ns
+  // measures, not the time a cancel takes to land.
   const std::int64_t latency_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - job.token.cancelled_at())
+          std::chrono::steady_clock::now() -
+          std::max(job.token.cancelled_at(), job.dispatch_time))
           .count();
   telemetry_->metrics()
       .histogram(m("cancel_latency_ns"), cancel_latency_bounds_ns())

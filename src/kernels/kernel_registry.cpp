@@ -119,6 +119,28 @@ KernelArgs SpecializedKernel::args(const float* coeffs,
   return KernelArgs{coeffs, table, bc, store};
 }
 
+void SpecializedKernel::run_2d(const BlockingPlan& plan, std::int64_t first,
+                               std::int64_t count, const Grid2D<float>& in,
+                               Grid2D<float>& out, int steps,
+                               const float* coeffs, RunStats& stats,
+                               const CancellationToken* cancel,
+                               const BoundaryCondition& bc,
+                               const StoreOp& store) const {
+  fn_2d(plan, first, count, in, out, steps, args(coeffs, bc, store), stats,
+        cancel);
+}
+
+void SpecializedKernel::run_3d(const BlockingPlan& plan, std::int64_t first,
+                               std::int64_t count, const Grid3D<float>& in,
+                               Grid3D<float>& out, int steps,
+                               const float* coeffs, RunStats& stats,
+                               const CancellationToken* cancel,
+                               const BoundaryCondition& bc,
+                               const StoreOp& store) const {
+  fn_3d(plan, first, count, in, out, steps, args(coeffs, bc, store), stats,
+        cancel);
+}
+
 void SpecializedKernel::run_2d(const BlockingPlan& plan,
                                const BlockExtent& blk, const Grid2D<float>& in,
                                Grid2D<float>& out, int steps,
@@ -126,7 +148,7 @@ void SpecializedKernel::run_2d(const BlockingPlan& plan,
                                const CancellationToken* cancel,
                                const BoundaryCondition& bc,
                                const StoreOp& store) const {
-  fn_2d(plan, blk, in, out, steps, args(coeffs, bc, store), stats, cancel);
+  run_2d(plan, blk.index, 1, in, out, steps, coeffs, stats, cancel, bc, store);
 }
 
 void SpecializedKernel::run_3d(const BlockingPlan& plan,
@@ -136,7 +158,7 @@ void SpecializedKernel::run_3d(const BlockingPlan& plan,
                                const CancellationToken* cancel,
                                const BoundaryCondition& bc,
                                const StoreOp& store) const {
-  fn_3d(plan, blk, in, out, steps, args(coeffs, bc, store), stats, cancel);
+  run_3d(plan, blk.index, 1, in, out, steps, coeffs, stats, cancel, bc, store);
 }
 
 void KernelRegistry::add_entry(StencilShape shape, int dims, int radius,

@@ -67,9 +67,25 @@ struct SpecializedKernel {
   /// canonical entries and for the unbound families entries() lists.
   const KernelTapTable* table = nullptr;
 
-  /// One block pass (see run_specialized). `coeffs` are in the matched
-  /// tap set's order; `bc` is any boundary but periodic; `store` says how
+  /// One pass over the run of `count` consecutive blocks of `plan` from
+  /// block `first` (see run_specialized). `coeffs` are in the matched tap
+  /// set's order; `bc` is any boundary but periodic; `store` says how
   /// retired cells land in `out`.
+  void run_2d(const BlockingPlan& plan, std::int64_t first,
+              std::int64_t count, const Grid2D<float>& in, Grid2D<float>& out,
+              int steps, const float* coeffs, RunStats& stats,
+              const CancellationToken* cancel,
+              const BoundaryCondition& bc = {},
+              const StoreOp& store = {}) const;
+  void run_3d(const BlockingPlan& plan, std::int64_t first,
+              std::int64_t count, const Grid3D<float>& in, Grid3D<float>& out,
+              int steps, const float* coeffs, RunStats& stats,
+              const CancellationToken* cancel,
+              const BoundaryCondition& bc = {},
+              const StoreOp& store = {}) const;
+
+  /// One block pass: the count-1 run of `blk`, which must be
+  /// block_extent(plan, blk.index).
   void run_2d(const BlockingPlan& plan, const BlockExtent& blk,
               const Grid2D<float>& in, Grid2D<float>& out, int steps,
               const float* coeffs, RunStats& stats,

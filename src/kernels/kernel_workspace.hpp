@@ -1,8 +1,9 @@
 // Thread-local scratch for specialized kernels.
 //
-// A specialized block pass needs one slab of (steps + 1) rolling windows
-// of 2*Rad + 1 planes each plus one constant plane (the dirichlet ghost
-// source), and the coefficient array in tap order.
+// A specialized pass needs one slab holding, for each block it keeps
+// live (one in 3D; up to the run window budget's worth in a 2D run),
+// `steps` rolling windows of 2*Rad + 1 planes, plus one constant plane
+// (the dirichlet ghost source), and the coefficient array in tap order.
 // Allocating per block would dominate small blocks and show up as malloc
 // contention under the block-parallel pool, so each worker thread keeps
 // one workspace that grows monotonically to the largest block it has

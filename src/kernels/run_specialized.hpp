@@ -1,6 +1,7 @@
 // `run_specialized<Shape, Rad, Dims, ParVec, Isa>`: one overlapped block
-// pass, with the tap table, radius, dimensionality, vector width and
-// instruction set baked in at compile time.
+// pass over a run of consecutive blocks, with the tap table, radius,
+// dimensionality, vector width and instruction set baked in at compile
+// time.
 //
 // This is the host-side analogue of the paper's synthesized pipeline. The
 // scalar interpreter (`stream_block_generic`) walks a ring-buffer shift
@@ -100,30 +101,34 @@ struct KernelArgs {
 template <int Dims>
 using GridOf = std::conditional_t<Dims == 3, Grid3D<float>, Grid2D<float>>;
 
-/// Runs one block pass of `steps` (<= cfg.partime) time steps over `blk`,
-/// storing the block's valid compute region into `out` with
-/// `args.store` (and nothing else: neighbouring blocks write the rest of
-/// `out` concurrently under block_parallel). Stats
-/// accounting matches the interpreter field for field (cells_streamed,
-/// vectors_processed, block_passes, cells_written), and a non-null
-/// `cancel` token is polled once per streamed plane/row -- at least as
-/// often as the interpreter's one-block-time cancellation bound requires.
-/// A periodic boundary is a precondition violation (the registry never
-/// resolves one to a kernel), and so is an `Isa` the CPU lacks.
+/// Runs one pass of `steps` (<= cfg.partime) time steps over the run of
+/// `count` consecutive blocks of `plan` from block `first` (a whole sync
+/// pass is one run; a single block is the count-1 run), storing each
+/// block's valid compute region into `out` with `args.store` (and nothing
+/// else: neighbouring blocks write the rest of `out` concurrently under
+/// block_parallel). A 2D run advances its blocks row by row in lock-step,
+/// a 3D run one block after another (run_specialized_impl.hpp). Stats
+/// accounting matches the interpreter field for field, per block
+/// (cells_streamed, vectors_processed, block_passes, cells_written), and a
+/// non-null `cancel` token is polled once per streamed plane/row -- at
+/// least as often as the interpreter's one-block-time cancellation bound
+/// requires. A periodic boundary is a precondition violation (the
+/// registry never resolves one to a kernel), and so is an `Isa` the CPU
+/// lacks.
 template <StencilShape Shape, int Rad, int Dims, int ParVec, KernelIsa Isa>
-void run_specialized(const BlockingPlan& plan, const BlockExtent& blk,
-                     const GridOf<Dims>& in, GridOf<Dims>& out, int steps,
-                     const KernelArgs& args, RunStats& stats,
-                     const CancellationToken* cancel);
+void run_specialized(const BlockingPlan& plan, std::int64_t first,
+                     std::int64_t count, const GridOf<Dims>& in,
+                     GridOf<Dims>& out, int steps, const KernelArgs& args,
+                     RunStats& stats, const CancellationToken* cancel);
 
-using SpecializedKernel2DFn = void (*)(const BlockingPlan&, const BlockExtent&,
-                                       const Grid2D<float>&, Grid2D<float>&,
-                                       int, const KernelArgs&, RunStats&,
-                                       const CancellationToken*);
-using SpecializedKernel3DFn = void (*)(const BlockingPlan&, const BlockExtent&,
-                                       const Grid3D<float>&, Grid3D<float>&,
-                                       int, const KernelArgs&, RunStats&,
-                                       const CancellationToken*);
+using SpecializedKernel2DFn = void (*)(const BlockingPlan&, std::int64_t,
+                                       std::int64_t, const Grid2D<float>&,
+                                       Grid2D<float>&, int, const KernelArgs&,
+                                       RunStats&, const CancellationToken*);
+using SpecializedKernel3DFn = void (*)(const BlockingPlan&, std::int64_t,
+                                       std::int64_t, const Grid3D<float>&,
+                                       Grid3D<float>&, int, const KernelArgs&,
+                                       RunStats&, const CancellationToken*);
 
 // The envelope's explicit instantiations (one TU per shape x dims so a
 // change to one family recompiles only that file).
@@ -150,7 +155,7 @@ using SpecializedKernel3DFn = void (*)(const BlockingPlan&, const BlockExtent&,
 #define FPGASTENCIL_KERNEL_INSTANCE(SHAPE, RAD, DIMS, PARVEC, ISA)         \
   template void run_specialized<StencilShape::SHAPE, RAD, DIMS, PARVEC,    \
                                 KernelIsa::ISA>(                           \
-      const BlockingPlan&, const BlockExtent&, const GridOf<DIMS>&,        \
+      const BlockingPlan&, std::int64_t, std::int64_t, const GridOf<DIMS>&, \
       GridOf<DIMS>&, int, const KernelArgs&, RunStats&,                    \
       const CancellationToken*);
 

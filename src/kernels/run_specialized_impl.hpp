@@ -31,9 +31,26 @@
 // block_parallel. The store op is picked per row inside the one
 // instantiation, so both ops share each entry's code.
 //
+// ## Runs: a 2D pass advances all its blocks one row at a time
+//
+// A kernel call covers a run of consecutive blocks (the synchronous
+// simulator hands over a whole pass; one block is the count-1 run). In 2D
+// the run advances in lock-step: per stream row y, every block, in x
+// order, does its read / update / store above from its own windows. The
+// blocks are independent -- each reads only `in`, stores only its retired
+// span of `out`, and reads `prev` only at those cells, prev == out
+// included -- so the order changes no bit. It does change the memory
+// traffic: one block walking all its rows reads `bsize_x`-float segments
+// a whole grid row apart (256 B every 4 KiB at bsize_x 64 on a 1024-wide
+// grid), a stride the hardware prefetcher does not follow, while the run
+// reads `in` and writes `out` row by row across the grid. A run keeps
+// every block's windows live, so it advances in sub-runs whose windows
+// fit kRunWindowBudget (a block past the budget runs alone). 3D runs walk
+// their blocks one at a time: one block's windows already outgrow L2.
+//
 // Per cell the arithmetic is the interpreter's exactly: taps accumulate
 // in tap-set order (acc = c0*t0; acc += ct*tt) and only in-grid centers
-// are computed. The tap table is a run_block parameter: the canonical
+// are computed. The tap table is a run-pass parameter: the canonical
 // star/box tables are constexpr (constexpr tap trip counts), any other
 // tap set passes a runtime table through the same body. Rows run in
 // ParVec-wide chunks, then a scalar remainder. A chunk's lanes live in
@@ -42,8 +59,8 @@
 // each lane carries an independent dependency chain in the interpreter's
 // op order, and mul and add round separately (-ffp-contract=off, no FMA
 // in either ISA), so the vector width cannot change results. The whole
-// block pass, this one compute_row body included, is compiled once per
-// KernelIsa (run_block_for); the registry picks the instantiation when
+// run pass, this one compute_row body included, is compiled once per
+// KernelIsa (run_blocks_for); the registry picks the instantiation when
 // it is built, so nothing branches or crosses ISAs per row.
 //
 // ## Boundaries: ghost margins, refilled per stage
@@ -158,9 +175,9 @@ struct TapPattern {
   static constexpr Offsets kOffsets = make_offsets();
 };
 
-/// The tap table run_block reads, as a view. `Count` is a std::integral_constant
-/// for the canonical tables (constexpr tap loops) and int for runtime
-/// tables; either way count <= kMaxTableTaps.
+/// The tap table a run pass reads, as a view. `Count` is a
+/// std::integral_constant for the canonical tables (constexpr tap loops)
+/// and int for runtime tables; either way count <= kMaxTableTaps.
 template <typename Count>
 struct TapView {
   Count count;
@@ -351,25 +368,46 @@ inline std::int64_t stream_source(const BoundaryCondition& bc, std::int64_t i,
   }
 }
 
-/// 2D block pass: x blocked, y streamed; window planes are single rows.
-/// Always inlined into run_block_for, which fixes its ISA.
+/// Floats of block windows a 2D run keeps live at once: a run whose
+/// blocks' windows exceed it advances in sub-runs that fit, and a block
+/// whose windows alone exceed it runs alone. 256 KiB stays inside L2
+/// beside the rows the run streams.
+inline constexpr std::int64_t kRunWindowBudget = 256 * 1024 / sizeof(float);
+
+/// One block of a 2D run: its x geometry and where its windows live.
+struct RowBlock {
+  std::int64_t x0 = 0;
+  AxisEdges ex;
+  std::int64_t wx_hi = 0;  ///< retired span [halo, wx_hi), block-local
+  /// Block-local x == 0 of stage 0's first window row; stage k's window
+  /// starts k * (2*Rad + 1) rows on.
+  float* windows = nullptr;
+  const Span* stage_x = nullptr;  ///< [k]: the x cells stage k computes
+};
+
+/// 2D run pass over blocks [first, first + count), whose windows fit the
+/// budget: x blocked, y streamed, window planes single rows. Per stream
+/// row every block, in x order, loads its row segment, computes its stage
+/// rows and stores its retired span, each from its own windows, so the
+/// run reads `in` and writes `out` row by row across the grid. Always
+/// inlined into run_blocks_for, which fixes its ISA.
 template <int Rad, int ParVec, int Lanes, typename Count>
-[[gnu::always_inline]] inline void run_block(
-    const BlockingPlan& plan, const BlockExtent& blk, const Grid2D<float>& in,
-    Grid2D<float>& out, int steps, const TapView<Count>& taps,
-    const KernelArgs& args, RunStats& stats, const CancellationToken* cancel) {
+[[gnu::always_inline]] inline void run_row_interleaved(
+    const BlockingPlan& plan, std::int64_t first, std::int64_t count,
+    const Grid2D<float>& in, Grid2D<float>& out, int steps,
+    const TapView<Count>& taps, const KernelArgs& args, RunStats& stats,
+    const CancellationToken* cancel) {
   constexpr std::int64_t W = 2 * Rad + 1;
   const AcceleratorConfig& cfg = plan.config;
   const BoundaryCondition& bc = args.boundary;
-  const std::int64_t bx = cfg.bsize_x;
   const std::int64_t ny = in.ny();
-  const std::int64_t x0 = blk.x0;
-  const std::int64_t prow = bx + 2 * Rad;  // padded row stride
+  const std::int64_t prow = cfg.bsize_x + 2 * Rad;  // padded row stride
+  const std::int64_t stage_cells = W * prow;        // one stage's window
 
-  // Windows for stages 0 .. steps-1; the last stage stores into `out`.
+  // Per block: windows for stages 0 .. steps-1 (the last stage stores
+  // into `out`), then one dirichlet ghost row for the whole run.
   KernelWorkspace& ws = tls_kernel_workspace();
-  const std::size_t windows =
-      std::size_t(steps) * std::size_t(W) * std::size_t(prow);
+  const std::size_t windows = std::size_t(count * steps * stage_cells);
   float* base = ws.ensure(windows + std::size_t(prow));
   std::fill(base, base + windows, 0.0f);
   // Dirichlet: every tap past the streamed edge reads this constant row.
@@ -377,72 +415,114 @@ template <int Rad, int ParVec, int Lanes, typename Count>
   if (bc.kind == BoundaryKind::dirichlet) {
     std::fill(ghost_row - Rad, ghost_row - Rad + prow, bc.value);
   }
-  const auto window = [&](int stage) {
-    return PlanarShiftRegister<float>(base + std::size_t(stage) * W * prow, W,
-                                      prow);
-  };
-  // Block-local x == 0 of the window row holding stream row `r`.
-  const auto content = [&](int stage, std::int64_t r) {
-    return window(stage).plane(r) + Rad;
-  };
 
-  const AxisEdges ex = axis_edges(x0, in.nx(), bx);
-  const std::int64_t halo = cfg.halo();
-  const std::int64_t wx_lo = halo;
-  const std::int64_t wx_hi =
-      std::min(halo + cfg.csize_x(), blk.valid_x_end - x0);
-  // The x cells stage k < steps computes: its influence cone (see above).
-  // Worked out once per block: recomputing it per row cost 2-tap rows ~10%.
-  std::vector<Span> stage_x(static_cast<std::size_t>(steps));
-  for (int k = 1; k < steps; ++k) {
-    stage_x[std::size_t(k)] = whole_chunks<ParVec>(
-        cone(wx_lo, wx_hi, std::int64_t(steps - k) * Rad, ex), ex);
+  // Per-block state, worked out once per run. The x cells stage k < steps
+  // computes are its influence cone (see above); recomputing it per row
+  // cost 2-tap rows ~10%.
+  const std::int64_t wx_lo = cfg.halo();
+  std::vector<RowBlock> blocks(static_cast<std::size_t>(count));
+  std::vector<Span> spans(static_cast<std::size_t>(count * steps));
+  for (std::int64_t i = 0; i < count; ++i) {
+    const BlockExtent blk = block_extent(plan, first + i);
+    RowBlock& b = blocks[std::size_t(i)];
+    b.x0 = blk.x0;
+    b.ex = axis_edges(blk.x0, in.nx(), cfg.bsize_x);
+    b.wx_hi = std::min(wx_lo + cfg.csize_x(), blk.valid_x_end - blk.x0);
+    b.windows = base + i * steps * stage_cells + Rad;
+    Span* xs = spans.data() + i * steps;
+    for (int k = 1; k < steps; ++k) {
+      xs[k] = whole_chunks<ParVec>(
+          cone(wx_lo, b.wx_hi, std::int64_t(steps - k) * Rad, b.ex), b.ex);
+    }
+    b.stage_x = xs;
   }
 
+  // Block-relative offset of stage k's window row holding stream row r:
+  // the same in every block of the run.
+  const auto row_at = [&](int k, std::int64_t r) {
+    return k * stage_cells + (r % W) * prow;
+  };
+  std::vector<std::int64_t> src_rows(std::size_t(steps) * W);
   const std::int64_t ymax = ny + std::int64_t(steps) * Rad;
   for (std::int64_t y = 0; y < ymax; ++y) {
     if (cancel) cancel->throw_if_cancelled();
-    // --- read: load input row y and fill its ghosts ---
-    if (y < ny && ex.hi > ex.lo) {
-      float* row = content(0, y);
-      std::memcpy(row + ex.lo, &in.at(x0 + ex.lo, y),
-                  std::size_t(ex.hi - ex.lo) * sizeof(float));
-      fill_row_ghosts<Rad>(row, ex, bc);
-    }
-
-    // --- update: stage-k rows that just became computable ---
-    for (int k = 1; k <= steps; ++k) {
+    // The stages with a row to compute: stage k's row y - k*Rad became
+    // computable (its +Rad source in stage k-1 just landed) and is on the
+    // grid. Their source rows are resolved once for every block; -1 reads
+    // the dirichlet constant.
+    const int k_lo = y < ny ? 1 : int((y - ny) / Rad + 1);
+    const int k_hi = int(std::min<std::int64_t>(steps, y / Rad));
+    for (int k = k_lo; k <= k_hi; ++k) {
       const std::int64_t r = y - std::int64_t(k) * Rad;
-      if (r < 0) break;  // deeper stages lag even further
-      if (r >= ny) continue;  // off-grid center row: never read
-      std::array<const float*, W> src;
       for (std::int64_t j = 0; j < W; ++j) {
         const std::int64_t s = stream_source(bc, r + j - Rad, ny);
-        src[std::size_t(j)] = s < 0 ? ghost_row : content(k - 1, s);
+        src_rows[std::size_t((k - 1) * W + j)] =
+            s < 0 ? -1 : row_at(k - 1, s);
       }
-      const float* tp[kMaxTableTaps];
-      for (int t = 0; t < taps.count; ++t) {
-        tp[t] = src[std::size_t(taps.dy[t] + Rad)] + taps.dx[t];
+    }
+
+    for (const RowBlock& b : blocks) {
+      // --- read: load input row y and fill its ghosts ---
+      if (y < ny && b.ex.hi > b.ex.lo) {
+        float* row = b.windows + row_at(0, y);
+        std::memcpy(row + b.ex.lo, &in.at(b.x0 + b.ex.lo, y),
+                    std::size_t(b.ex.hi - b.ex.lo) * sizeof(float));
+        fill_row_ghosts<Rad>(row, b.ex, bc);
       }
-      if (k < steps) {
-        float* dst = content(k, r);
-        const Span xs = stage_x[std::size_t(k)];
-        compute_row<Lanes, ParVec, false>(dst, xs.lo, xs.hi, tp, 0,
-                                          args.coeffs, taps.count, nullptr);
-        fill_row_ghosts<Rad>(dst, ex, bc);
-      } else if (wx_hi > wx_lo) {
-        // --- store: the finished row's retired span, into `out` ---
-        float* dst = &out.at(x0 + wx_lo, r);
-        store_row<Lanes, ParVec>(dst, wx_hi - wx_lo, tp, wx_lo, args.coeffs,
-                                 taps.count, args.store, dst - out.data());
-        stats.cells_written += wx_hi - wx_lo;
+
+      // --- update: the stage rows that just became computable ---
+      for (int k = k_lo; k <= k_hi; ++k) {
+        const std::int64_t r = y - std::int64_t(k) * Rad;
+        std::array<const float*, W> src;
+        for (std::int64_t j = 0; j < W; ++j) {
+          const std::int64_t at = src_rows[std::size_t((k - 1) * W + j)];
+          src[std::size_t(j)] = at < 0 ? ghost_row : b.windows + at;
+        }
+        const float* tp[kMaxTableTaps];
+        for (int t = 0; t < taps.count; ++t) {
+          tp[t] = src[std::size_t(taps.dy[t] + Rad)] + taps.dx[t];
+        }
+        if (k < steps) {
+          float* dst = b.windows + row_at(k, r);
+          const Span xs = b.stage_x[k];
+          compute_row<Lanes, ParVec, false>(dst, xs.lo, xs.hi, tp, 0,
+                                            args.coeffs, taps.count, nullptr);
+          fill_row_ghosts<Rad>(dst, b.ex, bc);
+        } else if (b.wx_hi > wx_lo) {
+          // --- store: the finished row's retired span, into `out` ---
+          float* dst = &out.at(b.x0 + wx_lo, r);
+          store_row<Lanes, ParVec>(dst, b.wx_hi - wx_lo, tp, wx_lo,
+                                   args.coeffs, taps.count, args.store,
+                                   dst - out.data());
+          stats.cells_written += b.wx_hi - wx_lo;
+        }
       }
     }
   }
 
-  stats.cells_streamed += plan.cells_streamed_per_pass;
-  stats.vectors_processed += plan.cells_streamed_per_pass / cfg.parvec;
-  ++stats.block_passes;
+  stats.cells_streamed += count * plan.cells_streamed_per_pass;
+  stats.vectors_processed +=
+      count * (plan.cells_streamed_per_pass / cfg.parvec);
+  stats.block_passes += count;
+}
+
+/// 2D run pass: blocks [first, first + count) in sub-runs whose windows
+/// fit kRunWindowBudget, each advanced row by row (run_row_interleaved).
+template <int Rad, int ParVec, int Lanes, typename Count>
+[[gnu::always_inline]] inline void run_blocks(
+    const BlockingPlan& plan, std::int64_t first, std::int64_t count,
+    const Grid2D<float>& in, Grid2D<float>& out, int steps,
+    const TapView<Count>& taps, const KernelArgs& args, RunStats& stats,
+    const CancellationToken* cancel) {
+  const std::int64_t block_windows =
+      std::int64_t(steps) * (2 * Rad + 1) * (plan.config.bsize_x + 2 * Rad);
+  const std::int64_t per_run =
+      std::max<std::int64_t>(1, kRunWindowBudget / block_windows);
+  for (std::int64_t b = first; b < first + count; b += per_run) {
+    run_row_interleaved<Rad, ParVec, Lanes>(
+        plan, b, std::min(per_run, first + count - b), in, out, steps, taps,
+        args, stats, cancel);
+  }
 }
 
 /// 3D block pass: x/y blocked, z streamed; window planes are padded
@@ -561,58 +641,76 @@ template <int Rad, int ParVec, int Lanes, typename Count>
   ++stats.block_passes;
 }
 
+/// 3D run pass: blocks [first, first + count) one after another. A 3D
+/// block's windows (tiles of 2*Rad + 1 planes per stage) already outgrow
+/// L2 at the paper's geometry, so interleaving blocks would not keep them
+/// resident.
+template <int Rad, int ParVec, int Lanes, typename Count>
+[[gnu::always_inline]] inline void run_blocks(
+    const BlockingPlan& plan, std::int64_t first, std::int64_t count,
+    const Grid3D<float>& in, Grid3D<float>& out, int steps,
+    const TapView<Count>& taps, const KernelArgs& args, RunStats& stats,
+    const CancellationToken* cancel) {
+  for (std::int64_t b = first; b < first + count; ++b) {
+    run_block<Rad, ParVec, Lanes>(plan, block_extent(plan, b), in, out, steps,
+                                  taps, args, stats, cancel);
+  }
+}
+
 #if defined(__x86_64__)
-/// The block pass compiled for AVX2, row loop included (run_block and
+/// The run pass compiled for AVX2, row loop included (run_blocks and
 /// compute_row inline here), so nothing crosses ISAs per row.
 template <int Rad, int ParVec, typename GridT, typename Count>
-[[gnu::target("avx2")]] void run_block_avx2(
-    const BlockingPlan& plan, const BlockExtent& blk, const GridT& in,
-    GridT& out, int steps, const TapView<Count>& taps, const KernelArgs& args,
-    RunStats& stats, const CancellationToken* cancel) {
-  run_block<Rad, ParVec, std::min(ParVec, 8)>(plan, blk, in, out, steps, taps,
-                                               args, stats, cancel);
+[[gnu::target("avx2")]] void run_blocks_avx2(
+    const BlockingPlan& plan, std::int64_t first, std::int64_t count,
+    const GridT& in, GridT& out, int steps, const TapView<Count>& taps,
+    const KernelArgs& args, RunStats& stats, const CancellationToken* cancel) {
+  run_blocks<Rad, ParVec, std::min(ParVec, 8)>(plan, first, count, in, out,
+                                                steps, taps, args, stats,
+                                                cancel);
 }
 #endif
 
-/// The block pass compiled for `Isa`: 8-lane vectors under AVX2, 4-lane
+/// The run pass compiled for `Isa`: 8-lane vectors under AVX2, 4-lane
 /// ones on baseline x86-64.
 template <KernelIsa Isa, int Rad, int ParVec, typename GridT, typename Count>
-void run_block_for(const BlockingPlan& plan, const BlockExtent& blk,
-                   const GridT& in, GridT& out, int steps,
-                   const TapView<Count>& taps, const KernelArgs& args,
-                   RunStats& stats, const CancellationToken* cancel) {
+void run_blocks_for(const BlockingPlan& plan, std::int64_t first,
+                    std::int64_t count, const GridT& in, GridT& out, int steps,
+                    const TapView<Count>& taps, const KernelArgs& args,
+                    RunStats& stats, const CancellationToken* cancel) {
 #if defined(__x86_64__)
   if constexpr (Isa == KernelIsa::kAvx2) {
-    run_block_avx2<Rad, ParVec>(plan, blk, in, out, steps, taps, args, stats,
-                                cancel);
+    run_blocks_avx2<Rad, ParVec>(plan, first, count, in, out, steps, taps,
+                                 args, stats, cancel);
     return;
   }
 #endif
-  run_block<Rad, ParVec, std::min(ParVec, 4)>(plan, blk, in, out, steps, taps,
-                                               args, stats, cancel);
+  run_blocks<Rad, ParVec, std::min(ParVec, 4)>(plan, first, count, in, out,
+                                                steps, taps, args, stats,
+                                                cancel);
 }
 
 }  // namespace kernels_detail
 
 template <StencilShape Shape, int Rad, int Dims, int ParVec, KernelIsa Isa>
-void run_specialized(const BlockingPlan& plan, const BlockExtent& blk,
-                     const GridOf<Dims>& in, GridOf<Dims>& out, int steps,
-                     const KernelArgs& args, RunStats& stats,
-                     const CancellationToken* cancel) {
+void run_specialized(const BlockingPlan& plan, std::int64_t first,
+                     std::int64_t count, const GridOf<Dims>& in,
+                     GridOf<Dims>& out, int steps, const KernelArgs& args,
+                     RunStats& stats, const CancellationToken* cancel) {
   using kernels_detail::TapView;
   if constexpr (Shape == StencilShape::kTable) {
     const KernelTapTable& t = *args.table;
     const TapView<int> taps{int(t.dx.size()), t.dx.data(), t.dy.data(),
                              t.dz.data()};
-    kernels_detail::run_block_for<Isa, Rad, ParVec>(plan, blk, in, out, steps,
-                                                    taps, args, stats, cancel);
+    kernels_detail::run_blocks_for<Isa, Rad, ParVec>(
+        plan, first, count, in, out, steps, taps, args, stats, cancel);
   } else {
     using Pattern = kernels_detail::TapPattern<Shape, Rad, Dims>;
     constexpr auto& offs = Pattern::kOffsets;
     const TapView<std::integral_constant<int, Pattern::kCount>> taps{
         {}, offs.dx.data(), offs.dy.data(), offs.dz.data()};
-    kernels_detail::run_block_for<Isa, Rad, ParVec>(plan, blk, in, out, steps,
-                                                    taps, args, stats, cancel);
+    kernels_detail::run_blocks_for<Isa, Rad, ParVec>(
+        plan, first, count, in, out, steps, taps, args, stats, cancel);
   }
 }
 

@@ -52,15 +52,29 @@ std::int64_t TapSet::max_flat_offset(std::int64_t bsize_x,
   return m;
 }
 
-std::int64_t TapSet::max_abs_flat_offset(std::int64_t bsize_x,
+TapSet::FlatReach TapSet::remapped_reach(std::int64_t bsize_x,
                                          std::int64_t row_cells) const {
-  std::int64_t m = 0;
+  const std::int64_t stride[3] = {1, bsize_x, row_cells};
+  FlatReach reach;
   for (const Tap& t : taps_) {
-    const std::int64_t reach = std::abs(t.dx) + std::abs(t.dy) * bsize_x +
-                               std::abs(t.dz) * row_cells;
-    m = std::max(m, reach);
+    const std::int64_t d[3] = {t.dx, t.dy, t.dz};
+    std::int64_t back = 0, fwd = 0;
+    for (int a = 0; a < 3; ++a) {
+      std::int64_t lo = d[a], hi = d[a];
+      if (boundary_.kind == BoundaryKind::clamp) {
+        lo = std::min<std::int64_t>(d[a], 0);
+        hi = std::max<std::int64_t>(d[a], 0);
+      } else if (boundary_.kind == BoundaryKind::reflective) {
+        lo = -std::abs(d[a]);
+        hi = std::abs(d[a]);
+      }
+      back += lo * stride[a];
+      fwd += hi * stride[a];
+    }
+    reach.back = std::min(reach.back, back);
+    reach.fwd = std::max(reach.fwd, fwd);
   }
-  return m;
+  return reach;
 }
 
 double TapSet::coefficient_sum() const {

@@ -117,15 +117,19 @@ class TapSet {
   [[nodiscard]] std::int64_t max_flat_offset(std::int64_t bsize_x,
                                              std::int64_t row_cells) const;
 
-  /// Largest flat reach any tap can attain after a reflective border
-  /// remap: per axis a tap at distance d can mirror to +d, so the
-  /// worst-case reach of one tap is |dx| + |dy|*bsize_x + |dz|*row_cells
-  /// (symmetric backward). Equals max_flat_offset for tap sets that
-  /// contain their all-positive corner tap (star, box); can exceed it
-  /// for asymmetric custom shapes, which is why reflective SR sizing
-  /// uses this instead.
-  [[nodiscard]] std::int64_t max_abs_flat_offset(std::int64_t bsize_x,
-                                                 std::int64_t row_cells) const;
+  /// The flat offsets [back, fwd] (back <= 0 <= fwd) a tap can read once
+  /// the boundary remaps it at a border. Clamp pulls each axis of a tap
+  /// toward the center, so an axis offset d reads anywhere from 0 to d;
+  /// reflective mirrors it, anywhere from -|d| to |d|; dirichlet and
+  /// periodic taps read only their plain offsets. A remap can carry an
+  /// asymmetric tap past every plain offset -- clamp turns (-2, 1) at
+  /// x = 0 into (0, 1) -- so the interpreter's shift register and stage
+  /// lag are sized from this, not from min/max_flat_offset.
+  struct FlatReach {
+    std::int64_t back = 0, fwd = 0;
+  };
+  [[nodiscard]] FlatReach remapped_reach(std::int64_t bsize_x,
+                                         std::int64_t row_cells) const;
 
   /// Sum of all coefficients (stability diagnostics).
   [[nodiscard]] double coefficient_sum() const;

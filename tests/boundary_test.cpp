@@ -132,6 +132,59 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(2, 4)),
     sweep_name);
 
+TEST(BoundaryRemap, AsymmetricTapsPulledPastTheirPlainReachStayExact) {
+  // A clamp remap pulls an out-of-grid tap toward the center, which can
+  // land it further forward or back than any plain offset: (-2, 1) at
+  // x = 0 reads (0, 1), flat offset 32 against a plain reach of 30 at
+  // bsize_x 32 (and its mirror (2, -1) at x = nx - 1 reads -32 against
+  // -30). In 3D, (1, -1, 1) at y = 0 reads a whole plane plus one cell
+  // ahead. The interpreter's shift register and stage lag must cover the
+  // remapped reach, under clamp as under reflective.
+  const auto pair = [](int dims, Tap t) {
+    return TapSet(dims, 2, {Tap{0, 0, 0, 0.5f}, t});
+  };
+  const TapSet sets[] = {pair(2, {-2, 1, 0, 0.25f}), pair(2, {2, -1, 0, 0.25f}),
+                         pair(3, {1, -1, 1, 0.25f}),
+                         pair(3, {-1, 1, -1, 0.25f})};
+  for (const TapSet& set : sets) {
+    for (const BoundaryCondition& bc :
+         {BoundaryCondition::clamp(), BoundaryCondition::reflective()}) {
+      const TapSet taps = set.with_boundary(bc);
+      for (const auto& [parvec, kernels] :
+           {std::pair{2, true}, std::pair{4, false}}) {
+        AcceleratorConfig cfg;
+        cfg.dims = taps.dims();
+        cfg.radius = 2;
+        cfg.parvec = parvec;
+        cfg.partime = 2;
+        cfg.bsize_x = 32;
+        cfg.bsize_y = taps.dims() == 3 ? 16 : 1;
+        cfg.use_specialized_kernels = kernels;
+        const std::string label = std::to_string(taps.dims()) + "D tap (" +
+                                  std::to_string(taps.taps()[1].dx) + ", " +
+                                  std::to_string(taps.taps()[1].dy) + ") " +
+                                  bc.describe() + " parvec " +
+                                  std::to_string(parvec);
+        if (taps.dims() == 2) {
+          Grid2D<float> base(40, 20);
+          base.fill_random(17);
+          Grid2D<float> want = base;
+          reference_run(taps, want, 3);
+          StencilAccelerator(taps, cfg).run(base, 3);
+          EXPECT_TRUE(compare_exact(base, want).identical()) << label;
+        } else {
+          Grid3D<float> base(40, 20, 9);
+          base.fill_random(17);
+          Grid3D<float> want = base;
+          reference_run(taps, want, 3);
+          StencilAccelerator(taps, cfg).run(base, 3);
+          EXPECT_TRUE(compare_exact(base, want).identical()) << label;
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Analytic semantics: single off-center taps make the boundary rule the
 // entire answer, pinned against hand-computed values (not the reference,

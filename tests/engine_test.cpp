@@ -721,5 +721,37 @@ TEST(EngineCancel, CancelLatencyHistogramIsRecorded) {
   EXPECT_EQ(snap.value_or("engine.jobs_cancelled", -1), 1);
 }
 
+TEST(EngineCancel, QueuedCancelLatencyExcludesTheQueueWait) {
+  // A job cancelled while queued behind a >= 60 ms job is finalized the
+  // moment a worker pops it: its cancel latency counts from that dispatch,
+  // not from the trip, so it stays far below the blocker's run time.
+  const TapSet taps = StarStencil::make_benchmark(2, 1, 5).to_taps();
+  StencilEngine engine({.workers = 1});
+  // The blocker holds the only worker in its chunk sink until the second
+  // job is queued and cancelled, then 60 ms more, and completes normally:
+  // the cancelled job's latency is the one observation.
+  std::atomic<bool> cancelled{false};
+  JobSpec blocking(taps, cfg2d(), grid2d(), 2);
+  blocking.sink = [&](const ResultChunk& c) {
+    if (c.index != 0) return;
+    while (!cancelled.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  };
+  JobHandle blocker = engine.submit(std::move(blocking));
+  while (blocker.status() == JobStatus::queued) std::this_thread::yield();
+  JobHandle queued = engine.submit(JobSpec(taps, cfg2d(), grid2d(), 2));
+  queued.cancel();
+  cancelled.store(true);
+  (void)blocker.wait();
+  EXPECT_THROW((void)queued.wait(), CancelledError);
+  engine.wait_idle();
+  const MetricsSnapshot snap = engine.telemetry().metrics().snapshot();
+  const MetricSample* lat = snap.find("engine.cancel_latency_ns");
+  ASSERT_NE(lat, nullptr);
+  ASSERT_EQ(lat->value, 1);
+  EXPECT_LT(lat->sum, 10'000'000)
+      << "a queued job's cancel latency counted its queue wait";
+}
+
 }  // namespace
 }  // namespace fpga_stencil

@@ -15,12 +15,16 @@
 // entry's baseline and AVX2 instantiations (whichever the CPU supports)
 // against the interpreter, whichever one the registry picked, with the
 // last pass assigning, adding onto a separate grid, and adding onto its
-// own output.
+// own output. The run cases check that a pass handed over as one run of
+// blocks (2D: advanced row by row across all of them) matches the same
+// pass as one call per block, on every 2D entry and ISA, including runs
+// split by the kernels' window budget.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 
+#include "common/math_util.hpp"
 #include "core/block_parallel_accelerator.hpp"
 #include "core/stencil_accelerator.hpp"
 #include "grid/grid_compare.hpp"
@@ -105,13 +109,18 @@ ExactnessResult run_both_3d(const TapSet& taps, AcceleratorConfig cfg,
   return r;
 }
 
+/// The four per-block RunStats fields kernels and interpreter share.
+void expect_block_stats_equal(const RunStats& got, const RunStats& want,
+                              const std::string& label) {
+  EXPECT_EQ(got.cells_streamed, want.cells_streamed) << label;
+  EXPECT_EQ(got.vectors_processed, want.vectors_processed) << label;
+  EXPECT_EQ(got.block_passes, want.block_passes) << label;
+  EXPECT_EQ(got.cells_written, want.cells_written) << label;
+}
+
 void expect_stats_parity(const ExactnessResult& r, const std::string& label) {
   EXPECT_TRUE(r.cmp.identical()) << label << ": " << r.cmp.summary();
-  EXPECT_EQ(r.specialized.cells_written, r.generic.cells_written) << label;
-  EXPECT_EQ(r.specialized.cells_streamed, r.generic.cells_streamed) << label;
-  EXPECT_EQ(r.specialized.vectors_processed, r.generic.vectors_processed)
-      << label;
-  EXPECT_EQ(r.specialized.block_passes, r.generic.block_passes) << label;
+  expect_block_stats_equal(r.specialized, r.generic, label);
 }
 
 TEST(KernelRegistry, CoversExactlyTheEnvelope) {
@@ -379,25 +388,33 @@ StoreOp start_store(StoreCase c, const GridT& prev, GridT& out) {
   return StoreOp::add(out.data());
 }
 
+/// How run_kernel_passes hands a pass's blocks to the kernel: one call
+/// per block, claimed by one worker or several (block-parallel), or the
+/// whole pass as one run call (the sync simulator).
+enum class PassCalls { kPerBlock, kOneRun };
+
 /// `iters` steps of `taps` from `in` on `k` alone, pass by pass as the
 /// executors run them: every block of the plan reads the current grid and
-/// retires its compute region into the next one, claimed by one worker
-/// (sync) or several (block-parallel); the last pass stores into `out`
-/// with `store`.
+/// retires its compute region into the next one; the last pass stores into
+/// `out` with `store`. Returns the kernel calls' summed stats.
 template <typename GridT>
-void run_kernel_passes(const SpecializedKernel& k, const TapSet& taps,
-                       const AcceleratorConfig& cfg, const GridT& in,
-                       GridT& out, int iters, int workers,
-                       const StoreOp& store) {
+RunStats run_kernel_passes(const SpecializedKernel& k, const TapSet& taps,
+                           const AcceleratorConfig& cfg, const GridT& in,
+                           GridT& out, int iters, int workers,
+                           const StoreOp& store,
+                           PassCalls calls = PassCalls::kPerBlock) {
   constexpr bool k3d = std::is_same_v<GridT, Grid3D<float>>;
+  // The executors' plan: stage lag resolved from the tap set.
+  const AcceleratorConfig resolved = resolve_stage_lag(taps, cfg);
   BlockingPlan plan;
   if constexpr (k3d) {
-    plan = make_blocking_plan(cfg, in.nx(), in.ny(), in.nz());
+    plan = make_blocking_plan(resolved, in.nx(), in.ny(), in.nz());
   } else {
-    plan = make_blocking_plan(cfg, in.nx(), in.ny());
+    plan = make_blocking_plan(resolved, in.nx(), in.ny());
   }
   std::vector<float> coeffs;
   for (const Tap& t : taps.taps()) coeffs.push_back(t.coeff);
+  std::vector<RunStats> stats(std::size_t(std::max(workers, 1)));
   GridT cur = in;
   GridT next = in;
   for (int remaining = iters; remaining > 0;) {
@@ -405,27 +422,42 @@ void run_kernel_passes(const SpecializedKernel& k, const TapSet& taps,
     remaining -= steps;
     GridT& dst = remaining == 0 ? out : next;
     const StoreOp st = remaining == 0 ? store : StoreOp::assign();
+    if (calls == PassCalls::kOneRun) {
+      if constexpr (k3d) {
+        k.run_3d(plan, 0, plan.total_blocks(), cur, dst, steps, coeffs.data(),
+                 stats[0], nullptr, taps.boundary(), st);
+      } else {
+        k.run_2d(plan, 0, plan.total_blocks(), cur, dst, steps, coeffs.data(),
+                 stats[0], nullptr, taps.boundary(), st);
+      }
+      std::swap(cur, next);
+      continue;
+    }
     std::atomic<std::int64_t> claim{0};
-    const auto worker = [&] {
-      RunStats stats;
+    const auto worker = [&](RunStats& ws) {
       for (std::int64_t b; (b = claim.fetch_add(1)) < plan.total_blocks();) {
         const BlockExtent blk = block_extent(plan, b);
         if constexpr (k3d) {
-          k.run_3d(plan, blk, cur, dst, steps, coeffs.data(), stats, nullptr,
+          k.run_3d(plan, blk, cur, dst, steps, coeffs.data(), ws, nullptr,
                    taps.boundary(), st);
         } else {
-          k.run_2d(plan, blk, cur, dst, steps, coeffs.data(), stats, nullptr,
+          k.run_2d(plan, blk, cur, dst, steps, coeffs.data(), ws, nullptr,
                    taps.boundary(), st);
         }
       }
     };
     {
       std::vector<std::jthread> helpers;
-      for (int w = 1; w < workers; ++w) helpers.emplace_back(worker);
-      worker();
+      for (int w = 1; w < workers; ++w) {
+        helpers.emplace_back(worker, std::ref(stats[std::size_t(w)]));
+      }
+      worker(stats[0]);
     }
     std::swap(cur, next);
   }
+  RunStats total;
+  for (const RunStats& ws : stats) total.accumulate(ws);
+  return total;
 }
 
 /// `isa`'s entry for (taps, parvec) against the interpreter's `want` for
@@ -528,6 +560,167 @@ TEST(KernelIsa, Avx2EntriesMatchInterpreter) {
                     "here; kernels_no_fma still checks its code";
   }
   expect_every_entry_exact_on(KernelIsa::kAvx2);
+}
+
+/// The ISAs this CPU runs.
+std::vector<KernelIsa> supported_isas() {
+  std::vector<KernelIsa> isas;
+  for (const KernelIsa isa : {KernelIsa::kBaseline, KernelIsa::kAvx2}) {
+    if (cpu_supports(isa)) isas.push_back(isa);
+  }
+  return isas;
+}
+
+/// Every 2D registry entry -- star and box on their canonical tables, the
+/// runtime-table families on a reversed star -- on every ISA the CPU
+/// supports: each pass as one run call `==` the same pass as one call per
+/// block `==` the interpreter, with equal RunStats. Partime 1-4, each with
+/// a short last pass (2p - 1 steps), on a grid of many blocks with a
+/// ragged last one and on a grid narrower than one block, under clamp,
+/// reflective and dirichlet, with every store case of the last pass. The
+/// interpreter's bits do not depend on parvec or ISA, so it runs once per
+/// tap set, geometry and op.
+TEST(KernelRuns, RunCallsMatchOneBlockCallsAndInterpreter) {
+  const std::vector<KernelIsa> isas = supported_isas();
+  std::size_t entries = 0;
+  for (StencilShape shape :
+       {StencilShape::kStar, StencilShape::kBox, StencilShape::kTable}) {
+    const bool table = shape == StencilShape::kTable;
+    for (int rad : kRadii) {
+      const TapSet canonical =
+          envelope_taps(table ? StencilShape::kStar : shape, 2, rad);
+      for (const BoundaryCondition& bc :
+           {BoundaryCondition::clamp(), BoundaryCondition::reflective(),
+            BoundaryCondition::dirichlet(0.75f)}) {
+        const TapSet taps =
+            (table ? reversed(canonical) : canonical).with_boundary(bc);
+        for (int partime = 1; partime <= 4; ++partime) {
+          const int iters = partime == 1 ? 2 : 2 * partime - 1;
+          AcceleratorConfig interp = envelope_config(2, rad, 1, partime);
+          interp.bsize_x = round_up<std::int64_t>(2 * partime * rad + 8, 16);
+          interp.use_specialized_kernels = false;
+          const std::int64_t csize = interp.csize_x();
+          for (const auto& [nx, ny] : {std::pair{5 * csize + csize / 2 + 1, 11},
+                                       std::pair{std::int64_t(rad) + 2, 9}}) {
+            Grid2D<float> base(nx, ny);
+            base.fill_random(41, -1.0f, 1.0f);
+            Grid2D<float> prev = base;
+            prev.fill_random(42, -1.0f, 1.0f);
+            Grid2D<float> want_assign = base;
+            Grid2D<float> want_add = prev;
+            StencilAccelerator interpreter(taps, interp);
+            const RunStats want_stats = interpreter.run_into(
+                base, want_assign, iters, StoreOp::assign());
+            interpreter.run_into(base, want_add, iters,
+                                 StoreOp::add(prev.data()));
+            for (int pv : kParvecs) {
+              AcceleratorConfig cfg = interp;
+              cfg.parvec = pv;
+              cfg.use_specialized_kernels = true;
+              const SpecializedKernel* found =
+                  KernelRegistry::instance().find(taps, cfg);
+              ASSERT_NE(found, nullptr);
+              ASSERT_EQ(found->shape, shape);
+              for (const KernelIsa isa : isas) {
+                const SpecializedKernel k =
+                    kernels_detail::with_isa(*found, isa);
+                for (const StoreCase c : kStoreCases) {
+                  const std::string label =
+                      std::string(found->name) + " " + kernel_isa_name(isa) +
+                      " " + bc.describe() + " " + store_case_name(c) +
+                      " partime " + std::to_string(partime) + " " +
+                      std::to_string(nx) + "x" + std::to_string(ny);
+                  Grid2D<float> run_out, block_out;
+                  const StoreOp run_store = start_store(c, prev, run_out);
+                  const StoreOp block_store = start_store(c, prev, block_out);
+                  const RunStats run_stats =
+                      run_kernel_passes(k, taps, cfg, base, run_out, iters, 1,
+                                        run_store, PassCalls::kOneRun);
+                  const RunStats block_stats =
+                      run_kernel_passes(k, taps, cfg, base, block_out, iters,
+                                        1, block_store);
+                  const CompareResult vs_blocks =
+                      compare_exact(run_out, block_out);
+                  EXPECT_TRUE(vs_blocks.identical())
+                      << label << " run vs one-block: " << vs_blocks.summary();
+                  const CompareResult vs_interp = compare_exact(
+                      block_out,
+                      c == StoreCase::kAssign ? want_assign : want_add);
+                  EXPECT_TRUE(vs_interp.identical())
+                      << label << " one-block vs interpreter: "
+                      << vs_interp.summary();
+                  expect_block_stats_equal(run_stats, block_stats,
+                                           label + " run vs one-block");
+                  // The interpreter streamed one-cell vectors.
+                  RunStats want_at_pv = want_stats;
+                  want_at_pv.vectors_processed = want_stats.cells_streamed / pv;
+                  expect_block_stats_equal(block_stats, want_at_pv,
+                                           label + " one-block vs interpreter");
+                }
+              }
+            }
+          }
+        }
+      }
+      entries += std::size(kParvecs);
+    }
+  }
+  // Every 2D entry: half the registry.
+  EXPECT_EQ(2 * entries, KernelRegistry::instance().entries().size());
+}
+
+TEST(KernelRuns, RunsPastTheWindowBudgetSplitExact) {
+  // bsize_x 4096 at partime 8, radius 4: one block's windows (8 stages of
+  // 9 rows of 4104 floats, 1.2 MB) exceed the run budget, so each block
+  // runs alone. bsize_x 512 at partime 4 fits three blocks per sub-run,
+  // so a seven-block pass splits 3 + 3 + 1. Both end on a 1-step pass.
+  const TapSet taps = envelope_taps(StencilShape::kStar, 2, 4)
+                          .with_boundary(BoundaryCondition::reflective());
+  for (const auto& [bsize, partime, blocks] :
+       {std::tuple{4096, 8, 3}, std::tuple{512, 4, 7}}) {
+    AcceleratorConfig cfg = envelope_config(2, 4, 16, partime);
+    cfg.bsize_x = bsize;
+    const std::int64_t nx = (blocks - 1) * cfg.csize_x() + 37;
+    Grid2D<float> base(nx, 10);
+    base.fill_random(43, -1.0f, 1.0f);
+    Grid2D<float> want = base;
+    reference_run(taps, want, partime + 1);
+    const SpecializedKernel* k = KernelRegistry::instance().find(taps, cfg);
+    ASSERT_NE(k, nullptr);
+    Grid2D<float> run_out(nx, 10), block_out(nx, 10);
+    const RunStats run_stats =
+        run_kernel_passes(*k, taps, cfg, base, run_out, partime + 1, 1,
+                          StoreOp::assign(), PassCalls::kOneRun);
+    const RunStats block_stats = run_kernel_passes(
+        *k, taps, cfg, base, block_out, partime + 1, 1, StoreOp::assign());
+    const std::string label = "bsize_x " + std::to_string(bsize);
+    EXPECT_TRUE(compare_exact(run_out, want).identical()) << label;
+    EXPECT_TRUE(compare_exact(block_out, want).identical()) << label;
+    expect_block_stats_equal(run_stats, block_stats, label);
+    EXPECT_EQ(run_stats.block_passes, 2 * blocks) << label;
+  }
+}
+
+TEST(KernelRuns, SyncPassTicksDispatchOncePerBlock) {
+  // A sync pass is one run call, but the dispatch counters still count
+  // blocks: 200 columns at csize 28 are 8 blocks, and 3 steps at partime
+  // 2 are 2 passes.
+  for (const bool specialized : {true, false}) {
+    AcceleratorConfig cfg = envelope_config(2, 1, 4);
+    cfg.use_specialized_kernels = specialized;
+    Telemetry tel;
+    cfg.telemetry = &tel;
+    Grid2D<float> g(200, 20);
+    g.fill_random(3);
+    const RunStats stats =
+        StencilAccelerator(envelope_taps(StencilShape::kStar, 2, 1), cfg)
+            .run(g, 3);
+    EXPECT_EQ(stats.block_passes, 16);
+    EXPECT_EQ(tel.metrics().counter("kernels.dispatch_specialized").value(),
+              specialized ? 16 : 0);
+    EXPECT_EQ(tel.metrics().counter("kernels.dispatch_fallback").value(),
+              specialized ? 0 : 16);
+  }
 }
 
 TEST(KernelDispatch, OffEnvelopeFallsBackBitExact) {
