@@ -379,14 +379,18 @@ std::string generate_tap_kernel_source(const TapSet& taps,
   cfg.validate();
   FPGASTENCIL_EXPECT(taps.dims() == cfg.dims && taps.radius() <= cfg.radius,
                      "tap set and configuration disagree");
+  // The generated selects implement the paper's clamp boundary only.
+  FPGASTENCIL_EXPECT(taps.boundary().is_clamp(),
+                     "the generated kernel implements the clamp boundary "
+                     "only, not " + taps.boundary().describe());
   const bool cm = options.emit_comments;
   const std::int64_t row_cells = cfg.row_cells();
-  const std::int64_t max_flat = taps.max_flat_offset(cfg.bsize_x, row_cells);
-  const std::int64_t min_flat = taps.min_flat_offset(cfg.bsize_x, row_cells);
+  // Sized from the clamp-remapped reach, as the PEs size theirs.
+  const TapSet::FlatReach reach = taps.remapped_reach(cfg.bsize_x, row_cells);
   const std::int64_t stage_lag = std::max<std::int64_t>(
-      ceil_div(std::max<std::int64_t>(max_flat, 1), row_cells), 1);
-  const std::int64_t sr_size = stage_lag * row_cells - min_flat + cfg.parvec;
-  const std::int64_t center_base = -min_flat;
+      ceil_div(std::max<std::int64_t>(reach.fwd, 1), row_cells), 1);
+  const std::int64_t sr_size = stage_lag * row_cells - reach.back + cfg.parvec;
+  const std::int64_t center_base = -reach.back;
 
   SourceWriter w;
   if (cm) {

@@ -2,9 +2,10 @@
 // what comes back (JobResult), and the future-style handle between them.
 //
 // A job is one complete stencil computation -- tap set + configuration +
-// input grid + iteration count -- plus routing and QoS hints. The engine
-// owns the grid for the duration (the spec *moves* in) and hands it back
-// through the result, so concurrent jobs never alias storage.
+// input grid + iteration count (run as its one-node program) -- plus
+// routing and QoS hints. The engine owns the grid for the duration (the
+// spec *moves* in) and hands it back through the result, so concurrent
+// jobs never alias storage.
 #pragma once
 
 #include <chrono>
@@ -33,9 +34,7 @@ namespace fpga_stencil {
 
 /// Execution paths the engine can route a job to: the engine-level name
 /// of the shared backend vocabulary (core/run_options.hpp). Under
-/// `automatic` the engine picks cluster if boards > 1, resilient if an
-/// injector is set, else single_board_backend()
-/// (core/block_parallel_accelerator.hpp).
+/// `automatic` every job node takes automatic_backend() (engine/run.hpp).
 using Backend = ExecutionBackend;
 
 // GridVariant (either grid dimensionality, by value) lives in
@@ -70,7 +69,7 @@ inline constexpr int kQosClassCount = 3;
 struct ResultChunk {
   int dims = 2;
   std::int64_t nx = 0, ny = 0, nz = 1;
-  /// Field the band belongs to: empty for single-stencil jobs; the field
+  /// Field the band belongs to: "u" for single-stencil jobs; the field
   /// name for program jobs, which stream every non-work field in
   /// declaration order (`index` stays continuous across fields and `last`
   /// marks the final band of the final field).
@@ -122,8 +121,8 @@ struct JobSpec {
   int iterations = 0;
 
   /// Multi-field stencil program (docs/PROGRAMS.md). When set, the engine
-  /// ignores taps/config/grid/iterations above and instead plans and runs
-  /// every program node via ProgramExecutor; the result carries the final
+  /// ignores taps/config/grid/iterations above and runs this program
+  /// instead of their one-node adapter; the result carries the final
   /// state of every field in JobResult::fields, and a sink receives each
   /// non-work field as its own chunk run (ResultChunk::field). Held by
   /// shared_ptr so large initial fields are never copied through the
@@ -239,14 +238,14 @@ struct JobResult {
   RunStats stats;
   ClusterStats cluster;      ///< cluster backend only; default otherwise
   Backend backend = Backend::sync_sim;  ///< path actually taken
-  /// True when the circuit breaker overrode the requested backend (the
-  /// job ran on the sync_sim fallback; `backend` reflects the override).
+  /// True when the circuit breaker overrode a node's backend (it ran on
+  /// the sync_sim fallback; `backend` reflects the override).
   bool rerouted = false;
   bool plan_cache_hit = false;
   /// True when the plan's geometry came from the host autotuner
   /// (EngineOptions::autotune != off and the tuner resolved a winner).
   bool plan_tuned = false;
-  std::uint64_t kernel_fingerprint = 0;  ///< from the cached plan
+  std::uint64_t kernel_fingerprint = 0;  ///< ProgramSpec::fingerprint()
   std::int64_t queue_ns = 0;  ///< admission to dispatch
   std::int64_t run_ns = 0;    ///< dispatch to completion
   std::string label;
@@ -259,8 +258,8 @@ struct JobResult {
   /// Chunks streamed through JobSpec::sink (0 when no sink was set).
   std::int64_t chunks_delivered = 0;
 
-  // ---- Program jobs only (JobSpec::program; docs/PROGRAMS.md). `grid`
-  // holds its 1x1 placeholder for these; the data lives in `fields`.
+  // ---- Program view (docs/PROGRAMS.md; a single-stencil job is its one-
+  // node, one-step adapter). `grid` holds a 1x1 placeholder for programs.
 
   /// Final state of every program field (work fields included), in
   /// declaration order. Empty for single-stencil jobs.

@@ -2,9 +2,7 @@
 
 #include <bit>
 
-#include "codegen/kernel_generator.hpp"
 #include "core/stencil_accelerator.hpp"
-#include "kernels/kernel_registry.hpp"
 #include "tune/host_autotuner.hpp"
 
 namespace fpga_stencil {
@@ -18,15 +16,6 @@ void fnv_mix(std::uint64_t& h, std::uint64_t value) {
     h ^= (value >> (8 * byte)) & 0xffu;
     h *= kFnvPrime;
   }
-}
-
-std::uint64_t fnv_bytes(const std::string& s) {
-  std::uint64_t h = kFnvOffset;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= kFnvPrime;
-  }
-  return h;
 }
 
 }  // namespace
@@ -95,7 +84,7 @@ std::shared_ptr<const CachedPlan> PlanCache::lookup_or_build(
       }
     }
   }
-  // Build outside the lock: validation + codegen can be slow, and a
+  // Build outside the lock: validation + tuning can be slow, and a
   // ConfigError must not leave the cache locked or poisoned. Two threads
   // may race to build the same key; the loser's insert below dedups.
   auto plan = std::make_shared<CachedPlan>();
@@ -105,9 +94,8 @@ std::shared_ptr<const CachedPlan> PlanCache::lookup_or_build(
   AcceleratorConfig clean = cfg;
   clean.telemetry = nullptr;
   // Tuning happens here -- once per cached plan, outside the lock, in the
-  // submitting worker's thread with its cancellation token -- exactly like
-  // specialized-kernel resolution below. Jobs that hit the cache never pay
-  // a probe.
+  // submitting worker's thread with its cancellation token. Jobs that hit
+  // the cache never pay a probe.
   if (mode != AutotuneMode::off) {
     if (const std::optional<AutotuneOutcome> tuned = autotune.tuner->resolve(
             taps, clean, nx, ny, nz, mode, autotune.cancel)) {
@@ -122,18 +110,6 @@ std::shared_ptr<const CachedPlan> PlanCache::lookup_or_build(
   }
   plan->config = resolve_stage_lag(taps, clean);
   plan->blocking = make_blocking_plan(plan->config, nx, ny, nz);
-  const std::string source =
-      generate_tap_kernel_source(taps, {plan->config, false});
-  plan->kernel_fingerprint = fnv_bytes(source);
-  plan->kernel_source_bytes = std::int64_t(source.size());
-  // Resolve the dispatch target once per plan; stream_block re-derives
-  // the same answer per block (same registry, same structural match), so
-  // the handle is a cached fact about the plan, not a side channel. The
-  // registry resolves periodic boundaries to the interpreter.
-  if (plan->config.use_specialized_kernels) {
-    plan->specialized_kernel = KernelRegistry::instance().find(taps,
-                                                              plan->config);
-  }
 
   std::lock_guard<std::mutex> lock(mu_);
   ++misses_;

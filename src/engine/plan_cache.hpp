@@ -5,8 +5,8 @@
 // its BlockingPlan per job is wasted work under a job stream that reuses a
 // handful of specs. The cache front-loads that cost once per distinct
 // (taps, config, grid extents) key: stage-lag resolution + validation
-// (resolve_stage_lag), the blocking plan, and the generated kernel source's
-// fingerprint -- the stand-in for "which bitstream would this job need".
+// (resolve_stage_lag), the blocking plan, and -- when the engine autotunes
+// -- the tuned geometry.
 //
 // Keys fingerprint the tap set by *value* (offsets + coefficient bits), so
 // two TapSet objects with identical taps share a plan while a changed
@@ -21,7 +21,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 
 #include "core/run_options.hpp"
 #include "stencil/accel_config.hpp"
@@ -29,7 +28,6 @@
 
 namespace fpga_stencil {
 
-struct SpecializedKernel;  // kernels/kernel_registry.hpp; pointer-only here
 class CancellationToken;   // common/cancellation.hpp; pointer-only here
 
 /// FNV-1a over the tap set's value identity: dims, radius, and each tap's
@@ -41,20 +39,11 @@ class CancellationToken;   // common/cancellation.hpp; pointer-only here
 struct CachedPlan {
   AcceleratorConfig config;  ///< stage lag resolved, validated against taps
   BlockingPlan blocking;     ///< decomposition for the keyed extents
-  std::uint64_t kernel_fingerprint = 0;  ///< FNV-1a of the generated source
-  std::int64_t kernel_source_bytes = 0;  ///< size of that source
-
-  /// Resolved KernelRegistry handle: the specialized kernel stream_block
-  /// will dispatch this plan's blocks to, or null when the configuration
-  /// is off-envelope (or opted out) and runs on the scalar interpreter.
-  /// Points into the process-lifetime registry, so sharing the plan
-  /// across jobs and threads is safe.
-  const SpecializedKernel* specialized_kernel = nullptr;
 
   /// Autotuning provenance (zeroed when the plan was built with
   /// AutotuneMode::off or the tuner declined). `tuned` means `config`'s
-  /// geometry came from the HostAutotuner; like specialized_kernel it is
-  /// resolved once per plan, never on the job hot path.
+  /// geometry came from the HostAutotuner; it is resolved once per plan,
+  /// never on the job hot path.
   bool tuned = false;
   bool tuned_from_cache = false;  ///< TuningCache hit (no probes ran)
   double tuned_mcells = 0.0;
@@ -110,7 +99,7 @@ class PlanCache {
     std::int64_t bsize_x = 0, bsize_y = 0;
     std::int64_t nx = 0, ny = 0, nz = 1;
     // Part of the key (unlike telemetry): it changes which code executes
-    // the plan's blocks, and the cached specialized_kernel must agree.
+    // the plan's blocks.
     bool use_specialized_kernels = true;
     // Also part of the key: an untuned plan built under `off` must not be
     // served to a `search` submission for the same spec (and vice versa).

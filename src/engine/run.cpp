@@ -6,29 +6,59 @@
 #include "common/expect.hpp"
 #include "core/block_parallel_accelerator.hpp"
 #include "core/concurrent_accelerator.hpp"
-#include "fault/resilient_runner.hpp"
 #include "tune/host_autotuner.hpp"
 
 namespace fpga_stencil {
+
+ExecutionBackend automatic_backend(int boards, bool injected, int workers,
+                                   const BlockingPlan& plan) {
+  if (boards > 1) return ExecutionBackend::cluster;
+  if (injected) return ExecutionBackend::resilient;
+  return single_board_backend(workers, plan);
+}
 
 ExecutionBackend resolve_backend(const TapSet& taps,
                                  const AcceleratorConfig& cfg,
                                  std::int64_t nx, std::int64_t ny,
                                  std::int64_t nz, const RunOptions& options) {
   if (options.backend != ExecutionBackend::automatic) return options.backend;
-  // An injector routes to the resilient runner, never the bare pipeline:
-  // an injected stall without a watchdog would deadlock the pass.
-  if (options.injector != nullptr) return ExecutionBackend::resilient;
   const AcceleratorConfig resolved = resolve_stage_lag(taps, cfg);
-  return single_board_backend(options.workers,
-                              make_blocking_plan(resolved, nx, ny, nz));
+  return automatic_backend(1, options.injector != nullptr, options.workers,
+                           make_blocking_plan(resolved, nx, ny, nz));
 }
 
-namespace {
+template <typename GridT>
+RunStats run_backend(ExecutionBackend backend, const TapSet& taps,
+                     const AcceleratorConfig& cfg, GridT& grid,
+                     int iterations, const ResilienceOptions& options) {
+  const RunOptions& base = options.base;
+  switch (backend) {
+    case ExecutionBackend::sync_sim: {
+      AcceleratorConfig scfg = cfg;
+      if (base.telemetry) scfg.telemetry = base.telemetry;
+      return StencilAccelerator(taps, scfg)
+          .run(grid, iterations, base.scratch,
+               base.cancel.valid() ? &base.cancel : nullptr);
+    }
+    case ExecutionBackend::concurrent:
+      return run_concurrent(taps, cfg, grid, iterations, base);
+    case ExecutionBackend::block_parallel:
+      return run_block_parallel(taps, cfg, grid, iterations, base);
+    case ExecutionBackend::resilient:
+      return run_resilient(taps, cfg, grid, iterations, options);
+    case ExecutionBackend::cluster:
+      throw ConfigError(
+          "cluster backend is engine-only: submit a JobSpec with boards > 1 "
+          "to a StencilEngine");
+    case ExecutionBackend::automatic:
+      break;
+  }
+  throw ConfigError("run_backend needs a resolved backend");
+}
 
 template <typename GridT>
-RunStats run_impl(const TapSet& taps, const AcceleratorConfig& cfg,
-                  GridT& grid, int iterations, const RunOptions& options) {
+RunStats run(const TapSet& taps, const AcceleratorConfig& cfg, GridT& grid,
+             int iterations, const RunOptions& options) {
   constexpr bool is_3d = std::is_same_v<GridT, Grid3D<float>>;
   const std::int64_t nz = [&] {
     if constexpr (is_3d) {
@@ -53,49 +83,27 @@ RunStats run_impl(const TapSet& taps, const AcceleratorConfig& cfg,
       tuned_cfg.telemetry = cfg.telemetry;
     }
   }
-  const AcceleratorConfig& rcfg = tuned_cfg;
   const ExecutionBackend backend =
-      resolve_backend(taps, rcfg, grid.nx(), grid.ny(), nz, options);
-  switch (backend) {
-    case ExecutionBackend::automatic:
-      break;  // resolved above; unreachable
-    case ExecutionBackend::sync_sim: {
-      AcceleratorConfig scfg = rcfg;
-      if (options.telemetry) scfg.telemetry = options.telemetry;
-      StencilAccelerator accel(taps, scfg);
-      return accel.run(grid, iterations, options.scratch,
-                       options.cancel.valid() ? &options.cancel : nullptr);
-    }
-    case ExecutionBackend::concurrent:
-      return run_concurrent(taps, rcfg, grid, iterations, options);
-    case ExecutionBackend::block_parallel:
-      return run_block_parallel(taps, rcfg, grid, iterations, options);
-    case ExecutionBackend::resilient: {
-      ResilienceOptions ropts;
-      ropts.base = options;
-      if (ropts.base.watchdog_deadline.count() == 0) {
-        // Default resilience policy: a run without a deadline could never
-        // unwind a stalled pass.
-        ropts.base.watchdog_deadline = std::chrono::milliseconds(500);
-      }
-      return run_resilient(taps, rcfg, grid, iterations, ropts);
-    }
-    case ExecutionBackend::cluster:
-      throw ConfigError(
-          "cluster backend is engine-only: submit a JobSpec with boards > 1 "
-          "to a StencilEngine");
+      resolve_backend(taps, tuned_cfg, grid.nx(), grid.ny(), nz, options);
+  ResilienceOptions ropts;
+  ropts.base = options;
+  if (backend == ExecutionBackend::resilient &&
+      ropts.base.watchdog_deadline.count() == 0) {
+    // Default resilience policy: a run without a deadline could never
+    // unwind a stalled pass.
+    ropts.base.watchdog_deadline = std::chrono::milliseconds(500);
   }
-  throw ConfigError("unknown execution backend");
+  return run_backend(backend, taps, tuned_cfg, grid, iterations, ropts);
 }
 
-}  // namespace
-
-template <typename GridT>
-RunStats run(const TapSet& taps, const AcceleratorConfig& cfg, GridT& grid,
-             int iterations, const RunOptions& options) {
-  return run_impl(taps, cfg, grid, iterations, options);
-}
-
+template RunStats run_backend<Grid2D<float>>(ExecutionBackend, const TapSet&,
+                                             const AcceleratorConfig&,
+                                             Grid2D<float>&, int,
+                                             const ResilienceOptions&);
+template RunStats run_backend<Grid3D<float>>(ExecutionBackend, const TapSet&,
+                                             const AcceleratorConfig&,
+                                             Grid3D<float>&, int,
+                                             const ResilienceOptions&);
 template RunStats run<Grid2D<float>>(const TapSet&, const AcceleratorConfig&,
                                      Grid2D<float>&, int, const RunOptions&);
 template RunStats run<Grid3D<float>>(const TapSet&, const AcceleratorConfig&,

@@ -1,4 +1,5 @@
-// The one entry point over the single-board execution paths.
+// The one entry point over the single-board execution paths, and the
+// routing rule and backend switch every job path shares.
 //
 // Callers describe WHAT to run (taps, config, grid, iterations) and HOW
 // in a single RunOptions; run() routes to the matching backend instead of
@@ -17,9 +18,11 @@
 //   cluster                  engine-only; throws ConfigError here --
 //                            multi-board jobs need the StencilEngine's
 //                            boards/device/link vocabulary
-//   automatic                resolve_backend() below
+//   automatic                automatic_backend() below
 //
-// Every route is bit-exact with every other (pinned by tests), so the
+// The engine's ProgramExecutor routes every job node by the same rule and
+// switch (automatic_backend, run_backend), so the two cannot drift. Every
+// route is bit-exact with every other (pinned by tests), so the
 // choice is purely a performance/resilience decision. For queueing,
 // plan caching, and buffer pooling across many jobs, use StencilEngine;
 // run() is the direct, call-site-blocking form of the same routing.
@@ -27,17 +30,34 @@
 
 #include "core/run_options.hpp"
 #include "core/stencil_accelerator.hpp"
+#include "fault/resilient_runner.hpp"
 
 namespace fpga_stencil {
 
+/// The automatic routing rule: cluster when the job spans more than one
+/// board, resilient when it carries a fault injector (injecting a stall
+/// into the bare concurrent pipeline without a watchdog would deadlock),
+/// else single_board_backend() (core/block_parallel_accelerator.hpp).
+[[nodiscard]] ExecutionBackend automatic_backend(int boards, bool injected,
+                                                 int workers,
+                                                 const BlockingPlan& plan);
+
 /// The routing decision run() would take, exposed so callers (stencilctl)
-/// can report which backend a RunOptions resolves to. `automatic`
-/// resolves to: resilient when an injector is set; else
-/// single_board_backend() (core/block_parallel_accelerator.hpp).
+/// can report which backend a RunOptions resolves to: options.backend,
+/// or automatic_backend() for one board.
 ExecutionBackend resolve_backend(const TapSet& taps,
                                  const AcceleratorConfig& cfg,
                                  std::int64_t nx, std::int64_t ny,
                                  std::int64_t nz, const RunOptions& options);
+
+/// Advances `grid` by `iterations` time steps in place on `backend`:
+/// sync_sim, block_parallel, concurrent or resilient (else ConfigError).
+/// Each reads its knobs from `options.base`; resilient also the policy.
+/// Instantiated for Grid2D<float> and Grid3D<float> in run.cpp.
+template <typename GridT>
+RunStats run_backend(ExecutionBackend backend, const TapSet& taps,
+                     const AcceleratorConfig& cfg, GridT& grid,
+                     int iterations, const ResilienceOptions& options);
 
 /// Advances `grid` by `iterations` time steps in place on the backend
 /// `options` selects. Instantiated for Grid2D<float> and Grid3D<float>.

@@ -1,33 +1,24 @@
 #include "engine/stencil_engine.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "common/expect.hpp"
 #include "common/stopwatch.hpp"
-#include "core/block_parallel_accelerator.hpp"
-#include "core/concurrent_accelerator.hpp"
 #include "program/program_executor.hpp"
 #include "tune/host_autotuner.hpp"
 
 namespace fpga_stencil {
 namespace {
 
-/// Whether a job opted into per-job telemetry: a hook on its config, or
-/// on any node of its program -- the opt-in that also gates the
-/// sync_pass and block_parallel.worker spans.
-bool carries_telemetry_hook(const JobSpec& spec) {
-  if (!spec.program) return spec.config.telemetry != nullptr;
+/// Whether a job opted into per-job telemetry: a hook on any node of its
+/// program -- the opt-in that also gates the sync_pass and
+/// block_parallel.worker spans.
+bool carries_telemetry_hook(const ProgramSpec& program) {
   return std::any_of(
-      spec.program->nodes.begin(), spec.program->nodes.end(),
+      program.nodes.begin(), program.nodes.end(),
       [](const KernelNode& n) { return n.config.telemetry != nullptr; });
-}
-
-/// Cells in whichever grid the variant holds.
-std::int64_t grid_cells(const GridVariant& g) {
-  return std::visit([](const auto& grid) { return std::int64_t(grid.size()); },
-                    g);
 }
 
 /// Cancel-latency buckets: trip -> terminal is bounded by one block's
@@ -81,12 +72,13 @@ void stream_grid_bands(const GridVariant& grid, const JobSpec& spec,
   }
 }
 
-/// Program-job delivery: every non-work field streams in declaration
-/// order as its own chunk run (ResultChunk::field names it); the ordinal
-/// stays continuous across fields and `last` marks the final band of the
-/// final deliverable field.
-void deliver_program_chunks(const JobSpec& spec, JobResult& result) {
-  const ProgramSpec& program = *spec.program;
+/// Result delivery: every non-work field of the job's program streams in
+/// declaration order as its own chunk run (ResultChunk::field names it;
+/// a single-stencil job's one field is "u"); the ordinal stays continuous
+/// across fields and `last` marks the final band of the final deliverable
+/// field.
+void deliver_chunks(const ProgramSpec& program, const JobSpec& spec,
+                    JobResult& result) {
   std::size_t last_deliverable = program.fields.size();
   for (std::size_t i = 0; i < program.fields.size(); ++i) {
     if (!program.fields[i].work) last_deliverable = i;
@@ -354,215 +346,86 @@ void StencilEngine::execute(detail::JobState& job, int worker_id) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - job.enqueue_time)
           .count();
-  // The tracer keeps every event for the engine's lifetime, so only
-  // hooked jobs record a span: an untraced serving process stays flat.
   Tracer::Span span;
-  if (carries_telemetry_hook(spec)) {
-    span = telemetry_->tracer().span(
-        m("job") + (spec.label.empty() ? "" : ":" + spec.label), worker_id,
-        options_.metrics_prefix);
-  }
   const Stopwatch run_clock;
-  Backend backend_used = Backend::automatic;  // set once routing resolves
   try {
-    // One executor per job: the shared node runner over this engine's
-    // plan cache, pool, tuner and telemetry (src/program). Single-stencil
-    // jobs and program nodes resolve plans (with identical cache/tuner
-    // accounting) and run the single-board backends through this seam, so
-    // a single-stencil job really is the one-node-program special case.
-    ProgramExecutor::Services services;
-    services.plans = &plans_;
-    services.pool = &pool_;
-    services.tuner = tuner_.get();
-    services.autotune = options_.autotune;
-    services.telemetry = telemetry_;
-    services.metrics_prefix = options_.metrics_prefix;
-    services.backend = spec.backend;
-    services.workers = spec.workers;
-    ProgramExecutor exec(std::move(services));
-
-    if (spec.program) {
-      // Program job: the whole DAG advances as one QoS unit on this
-      // worker. The breaker stays out of the loop (per-node routing is
-      // the executor's, and ConfigErrors say nothing about backends).
-      ProgramOutcome outcome = exec.run(*spec.program, &job.token, worker_id);
-      JobResult result;
-      result.backend = outcome.backend;
-      result.plan_cache_hit = outcome.all_plans_cached;
-      result.plan_tuned = outcome.any_plan_tuned;
-      result.kernel_fingerprint = outcome.fingerprint;
-      result.label = spec.label;
-      result.tenant = spec.tenant;
-      result.qos = spec.qos;
-      result.dispatch_seq = job.dispatch_seq;
-      result.queue_ns = queue_ns;
-      result.stats = outcome.stats;
-      result.fields = std::move(outcome.fields);
-      result.program_nodes_executed = outcome.nodes_executed;
-      result.program_steps = outcome.steps_executed;
-      if (spec.sink) deliver_program_chunks(spec, result);
-      result.run_ns = run_clock.nanoseconds();
-      record_job_metrics(*telemetry_, options_.metrics_prefix, queue_ns,
-                         result.run_ns, result.stats.cells_written);
-      telemetry_->metrics().counter(m("jobs_completed")).add(1);
-      finish(job, std::move(result));
-      return;
+    // Every job is a program: a program job shares its spec, a
+    // single-stencil job becomes the one-node adapter with its grid moved
+    // in (the executor adopts it as the field's front buffer).
+    std::optional<ProgramSpec> adapted;
+    if (!spec.program) {
+      adapted.emplace(single_stencil_program(spec.taps, spec.config,
+                                             std::move(spec.grid),
+                                             spec.iterations));
+    }
+    const ProgramSpec& program = adapted ? *adapted : *spec.program;
+    // The tracer keeps every event for the engine's lifetime, so only
+    // hooked jobs record a span: an untraced serving process stays flat.
+    if (carries_telemetry_hook(program)) {
+      span = telemetry_->tracer().span(
+          m("job") + (spec.label.empty() ? "" : ":" + spec.label), worker_id,
+          options_.metrics_prefix);
     }
 
-    const std::int64_t nx =
-        std::visit([](const auto& g) { return g.nx(); }, spec.grid);
-    const std::int64_t ny =
-        std::visit([](const auto& g) { return g.ny(); }, spec.grid);
-    const std::int64_t nz =
-        spec.is_3d() ? std::get<Grid3D<float>>(spec.grid).nz() : 1;
-
-    bool hit = false;
-    const std::shared_ptr<const CachedPlan> plan = exec.resolve_plan(
-        spec.taps, spec.config, nx, ny, nz, &job.token, &hit);
-
-    // Routing. An automatic job with an injector goes to the resilient
-    // runner, never the bare concurrent pipeline: an injected stall
-    // without a watchdog would deadlock the pass. A fault-free
-    // single-board job takes single_board_backend() on its cached plan.
-    Backend backend = spec.backend;
-    if (backend == Backend::automatic) {
-      if (spec.boards > 1) {
-        backend = Backend::cluster;
-      } else if (spec.injector != nullptr) {
-        backend = Backend::resilient;
-      } else {
-        backend = exec.route(*plan);
-      }
-    }
-
-    // The circuit breaker gets the last word: a backend with an open
-    // breaker hands its jobs to the sync_sim fallback until a half-open
-    // probe proves it healthy again.
-    const CircuitBreaker::Decision routed = breaker_.route(backend);
-    backend = routed.backend;
-    backend_used = backend;
-    if (routed.rerouted) {
-      telemetry_->metrics().counter(m("breaker_rerouted")).add(1);
-      telemetry_->tracer().instant(m("breaker_reroute"), worker_id,
-                                   options_.metrics_prefix);
-    }
-
-    // The cached config is hook-free; restore this job's telemetry hook.
-    AcceleratorConfig cfg = plan->config;
-    cfg.telemetry = spec.config.telemetry;
+    // One executor per job: the engine's plan cache, pool, tuner, breaker
+    // and telemetry plus the job's knobs (src/program). It routes every
+    // node and is the one place that knows backends.
+    ProgramExecutor exec({.plans = &plans_, .pool = &pool_,
+                          .tuner = tuner_.get(), .autotune = options_.autotune,
+                          .telemetry = telemetry_,
+                          .metrics_prefix = options_.metrics_prefix,
+                          .backend = spec.backend, .workers = spec.workers,
+                          .injector = spec.injector,
+                          .watchdog_deadline = spec.watchdog_deadline,
+                          .channel_depth = spec.channel_depth,
+                          .resilience = spec.resilience, .boards = spec.boards,
+                          .device = spec.device, .link = spec.link,
+                          .breaker = &breaker_});
+    ProgramOutcome outcome =
+        adapted ? exec.run(std::move(*adapted), &job.token, worker_id)
+                : exec.run(program, &job.token, worker_id);
 
     JobResult result;
-    result.backend = backend;
-    result.rerouted = routed.rerouted;
-    result.plan_cache_hit = hit;
-    result.plan_tuned = plan->tuned;
-    result.kernel_fingerprint = plan->kernel_fingerprint;
+    result.backend = outcome.backend;
+    result.rerouted = outcome.rerouted;
+    result.cluster = outcome.cluster;
+    result.plan_cache_hit = outcome.all_plans_cached;
+    result.plan_tuned = outcome.any_plan_tuned;
+    result.kernel_fingerprint = outcome.fingerprint;
     result.label = spec.label;
     result.tenant = spec.tenant;
     result.qos = spec.qos;
     result.dispatch_seq = job.dispatch_seq;
     result.queue_ns = queue_ns;
-
-    const std::int64_t cells = grid_cells(spec.grid);
-    std::visit(
-        [&](auto& grid) {
-          switch (backend) {
-            case Backend::automatic:  // resolved above; unreachable
-            case Backend::sync_sim:
-            case Backend::block_parallel: {
-              // The shared single-board arms (src/program): identical to
-              // what every program node runs through.
-              NodeRunOptions nopts;
-              nopts.injector = spec.injector;
-              nopts.watchdog_deadline = spec.watchdog_deadline;
-              result.stats =
-                  exec.run_planned(spec.taps, cfg, backend, grid,
-                                   spec.iterations, &job.token, nopts);
-              break;
-            }
-            case Backend::concurrent: {
-              BufferPool::Lease lease(pool_, std::size_t(cells));
-              RunOptions ropts;
-              ropts.channel_depth = spec.channel_depth;
-              ropts.injector = spec.injector;
-              ropts.watchdog_deadline = spec.watchdog_deadline;
-              ropts.scratch = &lease.buffer();
-              ropts.cancel = job.token;
-              result.stats =
-                  run_concurrent(spec.taps, cfg, grid, spec.iterations, ropts);
-              break;
-            }
-            case Backend::resilient: {
-              BufferPool::Lease lease(pool_, std::size_t(cells));
-              ResilienceOptions ropts = spec.resilience;
-              ropts.base.channel_depth = spec.channel_depth;
-              if (spec.injector) ropts.base.injector = spec.injector;
-              if (spec.watchdog_deadline.count() > 0) {
-                ropts.base.watchdog_deadline = spec.watchdog_deadline;
-              }
-              ropts.base.scratch = &lease.buffer();
-              ropts.base.cancel = job.token;
-              result.stats =
-                  run_resilient(spec.taps, cfg, grid, spec.iterations, ropts);
-              break;
-            }
-            case Backend::cluster: {
-              // The cluster is a timing model (no block loop to poll);
-              // honor a pre-run trip, then run to completion.
-              job.token.throw_if_cancelled();
-              const DeviceSpec device =
-                  spec.device.name.empty() ? arria10_gx1150() : spec.device;
-              MultiFpgaCluster cluster(spec.boards, spec.taps, cfg, device,
-                                       spec.link);
-              result.cluster = cluster.run(grid, spec.iterations);
-              // The cluster reports modeled timing, not streaming counts;
-              // synthesize the valid-cell work for the job metrics.
-              result.stats.passes = result.cluster.passes;
-              result.stats.time_steps = spec.iterations;
-              result.stats.cells_written = cells * spec.iterations;
-              break;
-            }
-          }
-        },
-        spec.grid);
-
-    result.grid = std::move(spec.grid);
-    if (spec.sink) deliver_chunks(spec, result);
+    result.stats = outcome.stats;
+    result.fields = std::move(outcome.fields);
+    result.program_nodes_executed = outcome.nodes_executed;
+    result.program_steps = outcome.steps_executed;
+    if (spec.sink) deliver_chunks(program, spec, result);
+    if (adapted && !result.fields.empty()) {
+      // A single-stencil job hands its one field back as `grid`.
+      result.grid = std::move(result.fields.front().second);
+      result.fields.clear();
+    }
     result.run_ns = run_clock.nanoseconds();
     record_job_metrics(*telemetry_, options_.metrics_prefix, queue_ns,
                        result.run_ns, result.stats.cells_written);
     telemetry_->metrics().counter(m("jobs_completed")).add(1);
-    breaker_.on_success(backend_used);
     export_breaker_gauges();
     finish(job, std::move(result));
   } catch (const DeadlineExceededError&) {
+    export_breaker_gauges();
     finish_cancelled(job, /*deadline=*/true);
   } catch (const CancelledError&) {
+    export_breaker_gauges();
     finish_cancelled(job, /*deadline=*/false);
-  } catch (const ConfigError&) {
-    // A bad spec is the caller's fault, not the backend's: fail the job
-    // without charging the breaker.
-    telemetry_->metrics().counter(m("jobs_failed")).add(1);
-    telemetry_->tracer().instant(m("job_failed"), worker_id,
-                                 options_.metrics_prefix);
-    fail(job, std::current_exception());
   } catch (...) {
+    // The executor already charged the breaker for a backend failure.
     telemetry_->metrics().counter(m("jobs_failed")).add(1);
     telemetry_->tracer().instant(m("job_failed"), worker_id,
                                  options_.metrics_prefix);
-    if (backend_used != Backend::automatic) breaker_.on_failure(backend_used);
     export_breaker_gauges();
     fail(job, std::current_exception());
-  }
-}
-
-void StencilEngine::deliver_chunks(const JobSpec& spec, JobResult& result) {
-  ResultChunk chunk;  // field stays empty: single-stencil stream
-  stream_grid_bands(result.grid, spec, chunk, /*final_grid=*/true);
-  result.chunks_delivered = chunk.index;
-  if (spec.sink_only) {
-    // The stream was the delivery; free the server-side copy now.
-    result.grid = Grid2D<float>(1, 1);
   }
 }
 

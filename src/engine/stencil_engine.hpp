@@ -11,11 +11,15 @@
 //   JobResult& r = h.wait();                      // future-style
 //
 // Internally: an LRU PlanCache keyed by (tap-set fingerprint, config,
-// grid extents) front-loads validation/planning/kernel-fingerprinting
-// once per distinct spec; a BufferPool recycles scratch storage across
-// jobs (zero allocation growth after warm-up); a router dispatches each
-// job to the synchronous simulator, the concurrent dataflow pipeline,
-// the resilient runner, or the multi-FPGA cluster behind one seam.
+// grid extents) front-loads validation/planning once per distinct spec; a
+// BufferPool recycles scratch storage across jobs (zero allocation growth
+// after warm-up). Every job runs as a program on the worker that dequeued
+// it: a single-stencil spec becomes single_stencil_program()'s one-node
+// program, and ProgramExecutor (src/program) routes each node -- to the
+// synchronous simulator, the block-parallel pool, the concurrent dataflow
+// pipeline, the resilient runner, or the multi-FPGA cluster -- through
+// the engine's circuit breaker. The engine itself keeps queueing,
+// lifecycle, result assembly and chunk delivery.
 //
 // Observability: the engine tallies <prefix>.jobs_{submitted,completed,
 // failed,rejected}, <prefix>.plan_cache_{hit,miss}, a <prefix>.queue_depth
@@ -235,8 +239,6 @@ class StencilEngine {
   /// Runs the spec's on_terminal hook (exactly once per job, after the
   /// terminal state is recorded).
   void notify_terminal(detail::JobState& job);
-  /// Streams the finished grid through spec.sink in contiguous bands.
-  static void deliver_chunks(const JobSpec& spec, JobResult& result);
   void begin_drain();
   void export_breaker_gauges();
   /// "<metrics_prefix>.<suffix>".

@@ -1,28 +1,25 @@
-// ProgramExecutor: runs a validated ProgramSpec through the engine's
-// machinery -- PlanCache, BufferPool, HostAutotuner, Telemetry -- inside
-// the worker thread that dispatched the program job (docs/PROGRAMS.md).
+// ProgramExecutor: the engine's one job runner, and the one place that
+// knows backends. It runs a validated ProgramSpec through the engine's
+// machinery -- PlanCache, BufferPool, HostAutotuner, CircuitBreaker,
+// Telemetry -- inside the worker thread that dispatched the job
+// (docs/PROGRAMS.md). A single-stencil job is single_stencil_program()'s
+// one-node program, so StencilEngine runs every job through run().
 //
-// The executor is also the *shared node runner*: resolve_plan (plan-cache
-// lookup with the full tuner metric accounting) and run_planned (the
-// sync_sim / block_parallel execution arms over pooled scratch) are the
-// single implementation both the classic single-stencil job path in
-// StencilEngine::execute and every program node run through. Collapsing
-// the two paths is what makes "a single-stencil job is a one-node
-// program" true at the machinery level, not just the API level.
-//
-// Execution model: all windowed node plans are resolved once up front
-// (one plan-cache lookup -- and hence at most one tuner probe and exactly
-// one tuner.cache_hit/miss tick -- per node per program run, regardless
-// of `steps`), then the per-timestep schedule loops: each node advances
-// its resolved input buffer straight into the output field's back
-// buffer, its last pass storing with the node's combine op (assign, or
-// add onto front for the step's first writer and onto back after that).
-// A node whose input is its own destination buffer copies the input into
-// a pooled lease first; a pointwise node (one center tap, or 0 iterations)
-// runs as a streaming map on this thread (kernels/pointwise.hpp).
-// Written fields swap at the end of the step. Every buffer is a
-// BufferPool lease, so a program job leaks nothing even when a node
-// throws mid-step.
+// Execution model: every windowed node plan is resolved and routed once
+// up front (one plan-cache lookup, at most one tuner probe, and exactly
+// one tuner.cache_hit/miss tick per node per run, whatever `steps`); the
+// breaker has the last word per node. Then the per-timestep schedule
+// loops. A node that owns its field (reads and writes it with assign, and
+// no other node touches it) advances the field's front buffer in place,
+// the back buffer's storage as scratch, on any backend. Every other
+// windowed node streams its input into its destination's back buffer on
+// sync_sim or block_parallel, its last pass storing with the node's
+// combine op (a node reading its own destination buffer copies it into a
+// pooled lease first); a pointwise node (one center tap, or 0 iterations)
+// is a streaming map on this thread (kernels/pointwise.hpp). Written
+// fields swap at the end of the step. Back buffers are BufferPool leases,
+// and so are front buffers unless the caller hands its grids over by
+// rvalue, so a job leaks nothing even when a node throws mid-step.
 #pragma once
 
 #include <chrono>
@@ -32,10 +29,12 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/multi_fpga.hpp"
 #include "common/buffer_pool.hpp"
 #include "core/run_options.hpp"
 #include "core/stencil_accelerator.hpp"
 #include "engine/plan_cache.hpp"
+#include "fault/resilient_runner.hpp"
 #include "program/program_spec.hpp"
 
 namespace fpga_stencil {
@@ -43,6 +42,7 @@ namespace fpga_stencil {
 class Telemetry;
 class HostAutotuner;
 class CancellationToken;
+class CircuitBreaker;
 class FaultInjector;
 
 /// What running a whole program yields.
@@ -50,10 +50,15 @@ struct ProgramOutcome {
   /// Componentwise sum of every node run's RunStats (a pointwise node's
   /// are run_pointwise's: no passes or block passes).
   RunStats stats;
-  /// The path the nodes took: block_parallel when any node fanned out
-  /// over the worker pool, else sync_sim (pointwise maps count as
-  /// sync_sim: they run on the calling thread).
+  /// The path the nodes took: the non-sync_sim backend a windowed node ran
+  /// on, else sync_sim (pointwise maps count as sync_sim: they run on the
+  /// calling thread).
   ExecutionBackend backend = ExecutionBackend::sync_sim;
+  /// True when the circuit breaker sent some windowed node to the
+  /// sync_sim fallback instead of its routed backend.
+  bool rerouted = false;
+  /// The cluster arm's modeled timing; default unless a node ran there.
+  ClusterStats cluster;
   /// Final state of every field, in declaration order.
   std::vector<std::pair<std::string, GridVariant>> fields;
   std::int64_t nodes_executed = 0;  ///< node runs = nodes * steps
@@ -63,17 +68,11 @@ struct ProgramOutcome {
   std::uint64_t fingerprint = 0;  ///< ProgramSpec::fingerprint()
 };
 
-/// Per-run knobs of the shared node runner that only the single-stencil
-/// path uses (program nodes pass the defaults).
-struct NodeRunOptions {
-  FaultInjector* injector = nullptr;
-  std::chrono::milliseconds watchdog_deadline{0};
-};
-
 class ProgramExecutor {
  public:
-  /// Engine services the executor borrows; all pointees must outlive it.
-  /// StencilEngine builds one per program job from its own members.
+  /// Engine services and per-job knobs; all pointees must outlive the
+  /// executor. StencilEngine builds one per job from its members and the
+  /// JobSpec; the knobs default to a fault-free single-board run.
   struct Services {
     PlanCache* plans = nullptr;
     BufferPool* pool = nullptr;
@@ -81,13 +80,20 @@ class ProgramExecutor {
     AutotuneMode autotune = AutotuneMode::off;
     Telemetry* telemetry = nullptr;           ///< required
     std::string metrics_prefix = "engine";
-    /// Requested backend: automatic (route per node by the engine's
-    /// 2-blocks-per-worker policy), sync_sim, or block_parallel. Program
-    /// jobs never run on the concurrent/resilient/cluster backends
-    /// (validate_job_spec rejects them at the front door).
+    /// Requested backend: automatic (route() below) or one for every
+    /// windowed node; only an owning node runs concurrent, resilient or
+    /// cluster. The JobSpec knobs below pass through unchanged
+    /// (engine/job.hpp); a watchdog of 0 keeps the backend's default.
     ExecutionBackend backend = ExecutionBackend::automatic;
-    /// Block-parallel worker threads (JobSpec::workers passthrough).
     int workers = 0;
+    FaultInjector* injector = nullptr;
+    std::chrono::milliseconds watchdog_deadline{0};
+    std::size_t channel_depth = 64;
+    ResilienceOptions resilience;
+    int boards = 1;
+    DeviceSpec device;  ///< name empty = arria10_gx1150()
+    LinkSpec link;
+    CircuitBreaker* breaker = nullptr;  ///< null runs without one
   };
 
   explicit ProgramExecutor(Services services);
@@ -103,32 +109,37 @@ class ProgramExecutor {
       bool* hit);
 
   /// Resolves Services::backend against a concrete plan: `automatic`
-  /// takes single_board_backend (core/block_parallel_accelerator.hpp).
+  /// takes automatic_backend (engine/run.hpp) over the job's boards,
+  /// injector and workers. The breaker is not consulted here.
   [[nodiscard]] ExecutionBackend route(const CachedPlan& plan) const;
 
-  /// Runs one planned stencil in place on `grid` over pooled scratch.
-  /// `backend` must be sync_sim or block_parallel. `cfg` is the plan's
-  /// resolved config with the caller's telemetry hook restored.
+  /// Runs one planned stencil in place on `grid` over a pooled scratch:
+  /// the owning-node arm, on any backend route() can return. `cfg` is the
+  /// plan's resolved config with the caller's telemetry hook restored.
+  /// Instantiated for Grid2D<float> and Grid3D<float>.
+  template <typename GridT>
   RunStats run_planned(const TapSet& taps, const AcceleratorConfig& cfg,
-                       ExecutionBackend backend, Grid2D<float>& grid,
-                       int iterations, const CancellationToken* token,
-                       const NodeRunOptions& opts = NodeRunOptions());
-  RunStats run_planned(const TapSet& taps, const AcceleratorConfig& cfg,
-                       ExecutionBackend backend, Grid3D<float>& grid,
-                       int iterations, const CancellationToken* token,
-                       const NodeRunOptions& opts = NodeRunOptions());
+                       ExecutionBackend backend, GridT& grid, int iterations,
+                       const CancellationToken* token);
 
-  /// Runs the whole program: validate, resolve every node plan once,
-  /// execute `steps` timesteps in DAG order. Emits
-  /// <prefix>.program.nodes_scheduled / <prefix>.program.steps counters
-  /// and, for nodes whose config carries a telemetry hook, a
+  /// Runs the whole program: validate, resolve and route every node plan
+  /// once, execute `steps` timesteps in DAG order, then charge the breaker
+  /// (docs/LIFECYCLE.md). Emits <prefix>.program.nodes_scheduled /
+  /// <prefix>.program.steps counters, <prefix>.breaker_rerouted per
+  /// rerouted node and, for nodes whose config carries a telemetry hook, a
   /// "<prefix>.program.node:<name>" span per node run
   /// (docs/OBSERVABILITY.md). Throws ConfigError / CancelledError /
-  /// DeadlineExceededError like any job body.
+  /// DeadlineExceededError like any job body. The const overload copies
+  /// each initial field into a pooled front buffer; the rvalue overload
+  /// adopts each field's initial grid as its front buffer.
   ProgramOutcome run(const ProgramSpec& program,
                      const CancellationToken* token, int worker_id);
+  ProgramOutcome run(ProgramSpec&& program, const CancellationToken* token,
+                     int worker_id);
 
  private:
+  ProgramOutcome run_program(const ProgramSpec& program, ProgramSpec* adopt,
+                             const CancellationToken* token, int worker_id);
   [[nodiscard]] std::string m(const char* suffix) const;
 
   Services services_;

@@ -193,6 +193,37 @@ TEST(TapCodegen, ZeroOffsetTapHasNoSelect) {
   EXPECT_NE(src.find("sr[center + 0]"), std::string::npos);
 }
 
+TEST(TapCodegen, ClampedReachSizesTheShiftRegister) {
+  // At x = nx - 1 the clamp pulls (2, -1) to (0, -1): lanes 0-1 then read
+  // a whole row back, past the tap's plain flat offset of -30. The window
+  // must reach sr[l - 32], so the center sits 32 cells in.
+  const CodegenOptions o{cfg(2, 2, 32, 1, 4, 1), false};
+  const std::string fwd = generate_tap_kernel_source(
+      TapSet(2, 2, {Tap{0, 0, 0, 0.5f}, Tap{2, -1, 0, 0.5f}}), o);
+  EXPECT_NE(fwd.find("#define CENTER_BASE 32\n"), std::string::npos);
+  EXPECT_NE(fwd.find("#define STAGE_LAG 1\n"), std::string::npos);
+  // The mirror: at x = 0 the clamp pulls (-2, 1) to (0, 1), and at the
+  // last row to (-2, 0), two cells back of a plain offset of +30.
+  const std::string back = generate_tap_kernel_source(
+      TapSet(2, 2, {Tap{0, 0, 0, 0.5f}, Tap{-2, 1, 0, 0.5f}}), o);
+  EXPECT_NE(back.find("#define CENTER_BASE 2\n"), std::string::npos);
+  EXPECT_NE(back.find("#define SR_SIZE 38\n"), std::string::npos);
+}
+
+TEST(TapCodegen, NonClampBoundariesRejected) {
+  // The generated selects implement clamping only.
+  const TapSet star = StarStencil::make_benchmark(2, 1).to_taps();
+  const CodegenOptions o{cfg(2, 1, 32, 1, 4, 1), false};
+  for (const BoundaryCondition& bc :
+       {BoundaryCondition::dirichlet(0.0f), BoundaryCondition::reflective(),
+        BoundaryCondition::periodic()}) {
+    EXPECT_THROW(generate_tap_kernel_source(star.with_boundary(bc), o),
+                 ConfigError)
+        << bc.describe();
+  }
+  EXPECT_NO_THROW(generate_tap_kernel_source(star, o));
+}
+
 TEST(TapCodegen, MismatchedDimsRejected) {
   const TapSet box2 = make_box_stencil(2, 1);
   EXPECT_THROW(

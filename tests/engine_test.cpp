@@ -753,5 +753,91 @@ TEST(EngineCancel, QueuedCancelLatencyExcludesTheQueueWait) {
       << "a queued job's cancel latency counted its queue wait";
 }
 
+// -------------------------------------------------------------------------
+// One job path: a single-stencil job runs as its one-node program, in
+// place on the grid it moved in, over the pool leases it always took.
+
+TEST(EnginePool, SingleStencilJobLeasesOneGridSizedScratch) {
+  // At 1, 2 and 3 passes, on every backend: one grid-sized scratch, plus
+  // one lane lease per block-parallel worker (the 160-wide grid has 6
+  // blocks, more than either worker count). The cluster model touches no
+  // scratch; it may take the lease or not.
+  const TapSet taps = StarStencil::make_benchmark(2, 1, 5).to_taps();
+  const auto input = [] {
+    Grid2D<float> g(160, 24);
+    g.fill_random(17);
+    return g;
+  };
+  struct Case {
+    const char* name;
+    Backend backend;
+    int workers;
+    int boards;
+  };
+  const Case cases[] = {
+      {"sync_sim", Backend::sync_sim, 1, 1},
+      {"block_parallel x2", Backend::block_parallel, 2, 1},
+      {"block_parallel x3", Backend::block_parallel, 3, 1},
+      {"concurrent", Backend::concurrent, 1, 1},
+      {"resilient", Backend::resilient, 1, 1},
+      {"cluster", Backend::cluster, 1, 3},
+  };
+  for (const int passes : {1, 2, 3}) {
+    const int iters = passes * cfg2d().partime;
+    Grid2D<float> want = input();
+    reference_run(taps, want, iters);
+    for (const Case& c : cases) {
+      const std::string label =
+          std::string(c.name) + ", " + std::to_string(passes) + " passes";
+      StencilEngine engine({.workers = 1});
+      // The resilient run survives one injected hang under the watchdog.
+      FaultInjector injector(FaultPlan::parse("seed=3,kernel_hang:n=1"));
+      JobSpec spec(taps, cfg2d(), input(), iters);
+      spec.backend = c.backend;
+      spec.workers = c.workers;
+      spec.boards = c.boards;
+      if (c.backend == Backend::resilient) {
+        spec.injector = &injector;
+        spec.watchdog_deadline = std::chrono::milliseconds(40);
+      }
+      const JobResult r = engine.run(std::move(spec));
+      EXPECT_EQ(r.backend, c.backend) << label;
+      EXPECT_TRUE(compare_exact(r.grid2d(), want).identical()) << label;
+      const std::int64_t acquires = engine.stats().pool_acquires;
+      if (c.backend == Backend::cluster) {
+        EXPECT_LE(acquires, 1) << label;
+      } else {
+        const std::int64_t lanes =
+            c.backend == Backend::block_parallel ? c.workers : 0;
+        EXPECT_EQ(acquires, 1 + lanes) << label;
+      }
+      if (c.backend == Backend::resilient) {
+        EXPECT_GE(r.stats.watchdog_trips, 1) << label;
+      }
+      EXPECT_EQ(engine.buffer_pool().outstanding(), 0) << label;
+    }
+  }
+}
+
+TEST(EnginePool, CancelledSingleStencilJobReturnsEveryLease) {
+  const TapSet taps = StarStencil::make_benchmark(2, 1, 5).to_taps();
+  for (const Backend backend : {Backend::sync_sim, Backend::block_parallel,
+                                Backend::concurrent, Backend::resilient}) {
+    StencilEngine engine({.workers = 1});
+    JobSpec spec = slow_spec(taps);
+    spec.backend = backend;
+    spec.workers = 2;
+    JobHandle h = engine.submit(std::move(spec));
+    while (h.status() == JobStatus::queued) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    h.cancel();
+    EXPECT_EQ(h.wait_or_cancel(std::chrono::milliseconds(5000)),
+              JobStatus::cancelled)
+        << backend_name(backend);
+    engine.wait_idle();
+    EXPECT_EQ(engine.buffer_pool().outstanding(), 0) << backend_name(backend);
+  }
+}
+
 }  // namespace
 }  // namespace fpga_stencil

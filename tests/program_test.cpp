@@ -9,17 +9,21 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/expect.hpp"
 #include "engine/engine_cluster.hpp"
 #include "engine/stencil_engine.hpp"
+#include "fault/fault_injector.hpp"
+#include "fault/faults.hpp"
 #include "grid/grid_compare.hpp"
 #include "program/program_executor.hpp"
 #include "program/program_reference.hpp"
@@ -588,6 +592,122 @@ TEST(ProgramExecution, ChunkedDeliveryStreamsFieldsInDeclarationOrder) {
   const std::vector<std::string> want_order = {"ez", "hx", "hy"};
   EXPECT_EQ(field_order, want_order);
   EXPECT_EQ(next_row, 9);  // the last field was fully covered
+}
+
+// ---------------------------------------------------------------------------
+// Field ownership and the breaker: every job path runs through one executor
+
+/// One clamp field `u` and one node advancing it with assign over two
+/// fused iterations at partime 1 (two passes): the node owns `u`.
+ProgramSpec owner_program(int steps) {
+  ProgramSpec p;
+  Grid2D<float> u(140, 23);
+  u.fill_random(51, -1.0f, 1.0f);
+  p.fields = {FieldSpec{"u", std::move(u), BoundaryCondition::clamp()}};
+  p.nodes = {KernelNode{"smooth",
+                        StarStencil::make_benchmark(2, 1, 8).to_taps(),
+                        base_config(2, 1), "u", "u", CombineOp::assign, 2,
+                        {}}};
+  p.steps = steps;
+  p.validate();
+  return p;
+}
+
+TEST(ProgramOwnership, OwningNodeRunsInPlaceWithoutChainSpares) {
+  // In place, the two passes ping-pong between the field's front and back
+  // buffers; in -> out they would lease a chain spare per node run.
+  const ProgramSpec p = owner_program(3);
+  const auto want = reference_run_program(p);
+  struct Run {
+    Backend backend;
+    int workers;
+  };
+  for (const Run run :
+       {Run{Backend::sync_sim, 1}, Run{Backend::block_parallel, 2}}) {
+    PlanCache plans;
+    BufferPool pool;
+    Telemetry tel;
+    ProgramExecutor::Services services;
+    services.plans = &plans;
+    services.pool = &pool;
+    services.telemetry = &tel;
+    services.backend = run.backend;
+    services.workers = run.workers;
+    ProgramExecutor exec(services);
+    const ProgramOutcome out = exec.run(p, nullptr, 0);
+    const std::string label = backend_name(run.backend);
+    expect_fields_bitwise(out.fields, want, label);
+    EXPECT_EQ(out.backend, run.backend) << label;
+    // The front and back leases, plus one lane lease per block-parallel
+    // worker per step (the 140-wide field has 5 blocks).
+    const std::int64_t lanes =
+        run.backend == Backend::block_parallel ? run.workers * p.steps : 0;
+    EXPECT_EQ(pool.acquires(), 2 + lanes) << label;
+    EXPECT_EQ(pool.outstanding(), 0) << label;
+  }
+}
+
+TEST(ProgramOwnership, AnotherReaderKeepsTheNodeOffItsFieldsFront) {
+  // `peek`, declared after `smooth` and without an `after` edge, reads
+  // u's step-start value: `smooth` must not advance u's front in place.
+  ProgramSpec p = owner_program(3);
+  p.fields.push_back(
+      FieldSpec{"v", Grid2D<float>(140, 23), BoundaryCondition::clamp()});
+  p.nodes.push_back(KernelNode{"peek",
+                               StarStencil::make_benchmark(2, 1, 9).to_taps(),
+                               base_config(2, 1), "u", "v",
+                               CombineOp::assign, 1, {}});
+  p.validate();
+  expect_every_executor_matches_reference(p, "reader of an owner's field");
+}
+
+TEST(ProgramBreaker, ProgramNodesRerouteWhileOpenAndAProgramClosesIt) {
+  StencilEngine engine({.workers = 1,
+                        .breaker_threshold = 2,
+                        .breaker_cooldown = std::chrono::milliseconds(50)});
+  // Two consecutive failures on block_parallel trip its breaker: explicit
+  // backend, a hang that never ends, a watchdog to unwind it.
+  const TapSet star = StarStencil::make_benchmark(2, 1, 5).to_taps();
+  for (int i = 0; i < 2; ++i) {
+    FaultInjector fi(FaultPlan::parse("seed=" + std::to_string(i + 1) +
+                                      ",kernel_hang:p=1:n=inf"));
+    Grid2D<float> g(96, 16);
+    g.fill_random(5);
+    JobSpec spec(star, base_config(2, 1), std::move(g), 2);
+    spec.backend = Backend::block_parallel;
+    spec.workers = 2;
+    spec.injector = &fi;
+    spec.watchdog_deadline = std::chrono::milliseconds(40);
+    JobHandle h = engine.submit(std::move(spec));
+    EXPECT_THROW((void)h.wait(), PassAbortedError);
+    engine.wait_idle();  // the injector must outlive the execution
+  }
+  ASSERT_EQ(engine.breaker_state(Backend::block_parallel), BreakerState::open);
+
+  // An FDTD job whose nodes route to block_parallel (2 workers, 5 blocks
+  // per field) runs every node on the sync_sim fallback, bit-exact.
+  const auto program =
+      std::make_shared<const ProgramSpec>(make_fdtd_program(140, 23, 3));
+  const auto want = reference_run_program(*program);
+  JobSpec rerouted(program);
+  rerouted.workers = 2;
+  const JobResult r = engine.run(std::move(rerouted));
+  EXPECT_TRUE(r.rerouted);
+  EXPECT_EQ(r.backend, Backend::sync_sim);
+  expect_fields_bitwise(r.fields, want, "rerouted fdtd");
+  EXPECT_EQ(engine.stats().breaker_reroutes, 4);  // one per windowed node
+
+  // After the cooldown a program job is the half-open probe: its first
+  // node runs on block_parallel, and its success closes the breaker.
+  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  JobSpec probe(program);
+  probe.workers = 2;
+  const JobResult pr = engine.run(std::move(probe));
+  EXPECT_EQ(pr.backend, Backend::block_parallel);
+  expect_fields_bitwise(pr.fields, want, "probe fdtd");
+  EXPECT_EQ(engine.breaker_state(Backend::block_parallel),
+            BreakerState::closed);
+  EXPECT_EQ(engine.buffer_pool().outstanding(), 0);
 }
 
 // ---------------------------------------------------------------------------
