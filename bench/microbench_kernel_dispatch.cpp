@@ -1,9 +1,9 @@
 // Single-thread throughput of the specialized kernel library vs the
 // scalar interpreter, per envelope point, plus the PR 7 acceptance
 // workload (3D star, radius 4, partime 4), a block-parallel scaling
-// rerun on top of the specialized kernels, and one narrow-block 2D pass
-// (an FDTD program node's geometry) handed to the kernel as one call per
-// block and as one run of every block.
+// rerun on top of the specialized kernels, and two narrow-block passes
+// (an FDTD and a wave3d program node's geometry) handed to the kernel as
+// one call per block and as one run of every block.
 //
 // Every measured pair is also an exactness check: the specialized run
 // must match the interpreter bit-for-bit (and the block-parallel runs
@@ -132,60 +132,101 @@ PointResult measure_point(StencilShape shape, int radius, int parvec,
   return r;
 }
 
-/// One FDTD node pass (hx += 0.5*(ez(x, y+1) - ez(x, y)): a 2-tap table,
-/// dirichlet(0), an add store, bsize_x 64, parvec 4, one step) on a
-/// 1024x768 grid, as one kernel call per block and as one run call over
-/// all 17 blocks, alternating in this process. One block at a time reads
-/// 256-byte row segments 4 KiB apart; the run reads whole grid rows.
-/// Prints the best of each; returns false unless both outputs are
+/// One pass of `taps` (one step) from `in` on `requested`'s plan, as one
+/// kernel call per block into `by_block` and as one run call over every
+/// block into `by_run`, alternating in this process. Prints the best of
+/// 15 each for `what`; returns false unless both outputs are
 /// bit-identical.
-bool measure_narrow_blocks() {
-  const TapSet taps(2, 1, {Tap{0, 0, 0, -0.5f}, Tap{0, 1, 0, 0.5f}},
-                    BoundaryCondition::dirichlet(0.0f));
-  AcceleratorConfig cfg;
-  cfg.dims = 2;
-  cfg.radius = 1;
-  cfg.parvec = 4;
-  cfg.partime = 1;
-  cfg.bsize_x = 64;
-  cfg = resolve_stage_lag(taps, cfg);
-  Grid2D<float> in(1024, 768), prev(1024, 768);
-  in.fill_random(24, -1.0f, 1.0f);
-  prev.fill_random(25, -1.0f, 1.0f);
-  Grid2D<float> by_block(in.nx(), in.ny()), by_run(in.nx(), in.ny());
-  const BlockingPlan plan = make_blocking_plan(cfg, in.nx(), in.ny());
+template <typename GridT>
+bool measure_run_vs_blocks(const std::string& what, const TapSet& taps,
+                           const AcceleratorConfig& requested,
+                           const GridT& in, const StoreOp& store) {
+  constexpr bool k3d = std::is_same_v<GridT, Grid3D<float>>;
+  const AcceleratorConfig cfg = resolve_stage_lag(taps, requested);
+  BlockingPlan plan;
+  std::ostringstream grid;
+  grid << in.nx() << "x" << in.ny();
+  if constexpr (k3d) {
+    plan = make_blocking_plan(cfg, in.nx(), in.ny(), in.nz());
+    grid << "x" << in.nz();
+  } else {
+    plan = make_blocking_plan(cfg, in.nx(), in.ny());
+  }
   const SpecializedKernel* k = KernelRegistry::instance().find(taps, cfg);
   if (k == nullptr) return false;
   std::vector<float> coeffs;
   for (const Tap& t : taps.taps()) coeffs.push_back(t.coeff);
-  const StoreOp add = StoreOp::add(prev.data());
+  GridT by_block = in, by_run = in;
+  RunStats stats;
+  const auto call = [&](std::int64_t first, std::int64_t count, GridT& out) {
+    if constexpr (k3d) {
+      k->run_3d(plan, first, count, in, out, 1, coeffs.data(), stats, nullptr,
+                taps.boundary(), store);
+    } else {
+      k->run_2d(plan, first, count, in, out, 1, coeffs.data(), stats, nullptr,
+                taps.boundary(), store);
+    }
+  };
 
   const auto cells = std::int64_t(in.size());
-  RunStats stats;
   double best_block = 0.0, best_run = 0.0;
   for (int rep = 0; rep < 15; ++rep) {
     const Stopwatch block_clock;
-    for (std::int64_t b = 0; b < plan.total_blocks(); ++b) {
-      k->run_2d(plan, block_extent(plan, b), in, by_block, 1, coeffs.data(),
-                stats, nullptr, taps.boundary(), add);
-    }
+    for (std::int64_t b = 0; b < plan.total_blocks(); ++b) call(b, 1, by_block);
     const double t_block = double(block_clock.nanoseconds()) / 1e9;
     const Stopwatch run_clock;
-    k->run_2d(plan, 0, plan.total_blocks(), in, by_run, 1, coeffs.data(),
-              stats, nullptr, taps.boundary(), add);
+    call(0, plan.total_blocks(), by_run);
     const double t_run = double(run_clock.nanoseconds()) / 1e9;
     best_block = std::max(best_block, mcells_per_s(cells, 1, t_block));
     best_run = std::max(best_run, mcells_per_s(cells, 1, t_run));
   }
   const bool exact = compare_exact(by_run, by_block).identical();
-  std::cout << "\nnarrow blocks (FDTD node: " << in.nx() << "x" << in.ny()
-            << ", " << k->name << ", dirichlet(0), add, bsize_x "
-            << cfg.bsize_x << ", " << plan.total_blocks()
-            << " blocks, best of 15): one-block calls " << best_block
-            << " Mcell/s, one run " << best_run << " Mcell/s, x"
+  std::cout << what << " (" << grid.str() << ", " << k->name << ", "
+            << taps.boundary().describe() << ", "
+            << (store.is_add() ? "add" : "assign") << ", "
+            << plan.total_blocks() << " blocks, best of 15): one-block calls "
+            << best_block << " Mcell/s, one run " << best_run << " Mcell/s, x"
             << (best_block > 0.0 ? best_run / best_block : 0.0) << ", exact "
             << (exact ? "yes" : "NO") << "\n";
   return exact;
+}
+
+/// Two sync passes of the `program` campaigns, each one run of narrow
+/// blocks that the kernel computes as one merged tile: an FDTD node
+/// (hx += 0.5*(ez(x, y+1) - ez(x, y)): a 2-tap table, dirichlet(0), an
+/// add store, bsize_x 64, 17 blocks on 1024x768), whose one-block calls
+/// read 256-byte row segments 4 KiB apart, and wave3d's laplace node (the
+/// 7-tap star, reflective, 32x32 blocks, 16 blocks on 96x96x48), whose
+/// one-block calls reload 32x32 tiles to retire 30x30.
+bool measure_narrow_blocks() {
+  std::cout << "\n";
+  AcceleratorConfig fdtd;
+  fdtd.dims = 2;
+  fdtd.radius = 1;
+  fdtd.parvec = 4;
+  fdtd.partime = 1;
+  fdtd.bsize_x = 64;
+  Grid2D<float> ez(1024, 768), hx(1024, 768);
+  ez.fill_random(24, -1.0f, 1.0f);
+  hx.fill_random(25, -1.0f, 1.0f);
+  const bool fdtd_exact = measure_run_vs_blocks(
+      "FDTD node",
+      TapSet(2, 1, {Tap{0, 0, 0, -0.5f}, Tap{0, 1, 0, 0.5f}},
+             BoundaryCondition::dirichlet(0.0f)),
+      fdtd, ez, StoreOp::add(hx.data()));
+
+  AcceleratorConfig wave = fdtd;
+  wave.dims = 3;
+  wave.bsize_x = 32;
+  wave.bsize_y = 32;
+  Grid3D<float> u(96, 96, 48);
+  u.fill_random(26, -1.0f, 1.0f);
+  const bool wave_exact = measure_run_vs_blocks(
+      "wave3d laplace node",
+      StarStencil::make_benchmark(3, 1, 26).to_taps().with_boundary(
+          BoundaryCondition::reflective()),
+      wave, u, StoreOp::assign());
+  return fdtd_exact && wave_exact;
 }
 
 bool parse_args(int argc, char** argv, Options& opt) {

@@ -52,11 +52,10 @@ namespace fpga_stencil {
 /// Streams the run of `count` consecutive blocks of `plan` from block
 /// `first` through `pes` for a pass of `steps <= partime` time steps,
 /// storing valid cells of each block's compute region into `out` with
-/// `store`. One registry lookup serves the run; on a specialized kernel a
-/// 2D run advances all its blocks row by row (so a whole sync pass reads
-/// and writes the grid in row order), a 3D run one block after another,
-/// and the interpreter walks the run block by block. A sync pass is one
-/// run of every block of the plan.
+/// `store`. One registry lookup serves the run; a specialized kernel
+/// computes the run's adjacent blocks as a few merged tiles
+/// (kernels/run_specialized_impl.hpp), and the interpreter walks the run
+/// block by block. A sync pass is one run of every block of the plan.
 void stream_block(std::vector<ProcessingElement>& pes,
                   const BlockingPlan& plan, std::int64_t first,
                   std::int64_t count, const Grid2D<float>& in,

@@ -149,8 +149,8 @@ void StencilAccelerator::run_pass(const GridT& in, GridT& out, int steps,
   } else {
     plan = make_blocking_plan(cfg_, in.nx(), in.ny());
   }
-  // The whole pass is one run, which a 2D kernel streams row by row
-  // across all its blocks (kernels/run_specialized_impl.hpp).
+  // The whole pass is one run, which a kernel computes as a few merged
+  // tiles of adjacent blocks (kernels/run_specialized_impl.hpp).
   stream_block(pes_, plan, 0, plan.total_blocks(), in, out, steps,
                std::span<float>(vec_a_), std::span<float>(vec_b_), stats,
                cancel, store);

@@ -37,14 +37,14 @@ CircuitBreaker::Decision CircuitBreaker::route(ExecutionBackend requested) {
         // Cooldown over: this job is the half-open probe.
         e.state = BreakerState::half_open;
         e.probe_in_flight = true;
-        return {requested, false};
+        return {requested, false, ++e.probes};
       }
       ++reroutes_;
       return {ExecutionBackend::sync_sim, true};
     case BreakerState::half_open:
       if (!e.probe_in_flight) {
         e.probe_in_flight = true;
-        return {requested, false};
+        return {requested, false, ++e.probes};
       }
       // One probe at a time; everyone else stays on the fallback.
       ++reroutes_;
@@ -82,6 +82,16 @@ void CircuitBreaker::on_failure(ExecutionBackend used) {
     e.state = BreakerState::open;
     e.opened_at = std::chrono::steady_clock::now();
     ++trips_;
+  }
+}
+
+void CircuitBreaker::release_probe(ExecutionBackend used,
+                                   std::uint64_t probe) {
+  if (!enabled() || !breakable(used)) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  Entry& e = entry(used);
+  if (e.state == BreakerState::half_open && e.probes == probe) {
+    e.probe_in_flight = false;
   }
 }
 

@@ -13,6 +13,7 @@
 //   open   --(cooldown elapsed)--> half-open (one probe admitted)
 //   half-open --(probe succeeds)--> closed
 //   half-open --(probe fails)--> open
+//   half-open --(probe cancelled)--> half-open (next job probes)
 //
 // Only the concurrent, block-parallel, and resilient backends are
 // breakable. sync_sim is the fallback (rerouting it to itself is
@@ -21,7 +22,9 @@
 //
 // Failure classification is the caller's job: cancellations, deadline
 // expiries, and configuration errors say nothing about backend health
-// and must not be reported here (see StencilEngine::execute).
+// and must not be reported as failures (see
+// ProgramExecutor::run_program). A probe job that ends that way hands its
+// slot back with release_probe(), so the next job can probe instead.
 #pragma once
 
 #include <array>
@@ -46,6 +49,9 @@ class CircuitBreaker {
   struct Decision {
     ExecutionBackend backend = ExecutionBackend::sync_sim;
     bool rerouted = false;  ///< true when the breaker overrode `requested`
+    /// The half-open probe slot this job holds (its handout number), or
+    /// 0 when it holds none.
+    std::uint64_t probe = 0;
   };
 
   /// The backend a job asking for `requested` should actually run on.
@@ -55,6 +61,13 @@ class CircuitBreaker {
   /// Reports the outcome of a job on the backend it actually ran on.
   void on_success(ExecutionBackend used);
   void on_failure(ExecutionBackend used);
+  /// Hands back the probe slot `probe` (a Decision's) on `used`, charging
+  /// nothing: the probe ended for a reason that says nothing about the
+  /// backend's health (cancelled, past its deadline, a spec error). The
+  /// breaker stays half-open, and the next job on `used` is the probe. A
+  /// slot something else already freed (a success or failure on `used`)
+  /// is left alone, so a stale release cannot free a later probe's slot.
+  void release_probe(ExecutionBackend used, std::uint64_t probe);
 
   [[nodiscard]] BreakerState state(ExecutionBackend b) const;
   /// closed -> open transitions (including half-open probes that failed).
@@ -75,6 +88,7 @@ class CircuitBreaker {
     BreakerState state = BreakerState::closed;
     int consecutive_failures = 0;
     bool probe_in_flight = false;
+    std::uint64_t probes = 0;  ///< probe slots handed out so far
     std::chrono::steady_clock::time_point opened_at{};
   };
 

@@ -23,10 +23,10 @@
 // boundary condition are runtime data (passed to the kernel per call),
 // so one entry serves every coefficient set and boundary of its shape
 // point. A runtime-table binding is interned once per distinct offset
-// list and lives as long as the registry, so find() results can be
-// cached in plans and called directly. The PlanCache still keys plans by
-// the full tap fingerprint and caches the resolved `SpecializedKernel*`
-// alongside the BlockingPlan.
+// list and lives as long as the registry, so find() results stay valid
+// and callable for the process's lifetime. The PlanCache keys plans by
+// the full tap fingerprint but holds no kernel: `stream_block` resolves
+// the entry with one find() per run.
 //
 // The registry also picks the instruction set once, when it is built:
 // every entry point is the AVX2 instantiation when the CPU supports AVX2,

@@ -1,15 +1,15 @@
 // Thread-local scratch for specialized kernels.
 //
-// A specialized pass needs one slab holding, for each block it keeps
-// live (one in 3D; up to the run window budget's worth in a 2D run),
-// `steps` rolling windows of 2*Rad + 1 planes, plus one constant plane
-// (the dirichlet ghost source), and the coefficient array in tap order.
-// Allocating per block would dominate small blocks and show up as malloc
-// contention under the block-parallel pool, so each worker thread keeps
-// one workspace that grows monotonically to the largest block it has
-// seen -- the same lifetime discipline as the pool workers' lane buffers,
-// but fully internal to the kernels library (callers never thread it
-// through).
+// A specialized pass needs one slab holding, for the tile it computes (a
+// block, or a run's adjacent blocks merged while their windows fit the
+// run window budget), `steps` rolling windows of 2*Rad + 1 planes, plus
+// one constant plane (the dirichlet ghost source), and the coefficient
+// array in tap order. Allocating per tile would dominate small blocks and
+// show up as malloc contention under the block-parallel pool, so each
+// worker thread keeps one workspace that grows monotonically to the
+// largest tile it has seen -- the same lifetime discipline as the pool
+// workers' lane buffers, but fully internal to the kernels library
+// (callers never thread it through).
 #pragma once
 
 #include <cstddef>

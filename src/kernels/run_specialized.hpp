@@ -1,7 +1,8 @@
 // `run_specialized<Shape, Rad, Dims, ParVec, Isa>`: one overlapped block
 // pass over a run of consecutive blocks, with the tap table, radius,
 // dimensionality, vector width and instruction set baked in at compile
-// time.
+// time. A run's adjacent blocks compute as a few merged tiles, each a
+// single block with one halo instead of one per merged block.
 //
 // This is the host-side analogue of the paper's synthesized pipeline. The
 // scalar interpreter (`stream_block_generic`) walks a ring-buffer shift
@@ -106,11 +107,12 @@ using GridOf = std::conditional_t<Dims == 3, Grid3D<float>, Grid2D<float>>;
 /// pass is one run; a single block is the count-1 run), storing each
 /// block's valid compute region into `out` with `args.store` (and nothing
 /// else: neighbouring blocks write the rest of `out` concurrently under
-/// block_parallel). A 2D run advances its blocks row by row in lock-step,
-/// a 3D run one block after another (run_specialized_impl.hpp). Stats
-/// accounting matches the interpreter field for field, per block
-/// (cells_streamed, vectors_processed, block_passes, cells_written), and a
-/// non-null `cancel` token is polled once per streamed plane/row -- at
+/// block_parallel). The run computes as merged tiles: rectangles of its
+/// blocks, each as large as the window budget allows, computed as one
+/// block (run_specialized_impl.hpp). Stats accounting matches the
+/// interpreter field for field, per plan block (cells_streamed,
+/// vectors_processed, block_passes, cells_written), and a non-null
+/// `cancel` token is polled once per streamed plane/row of each tile -- at
 /// least as often as the interpreter's one-block-time cancellation bound
 /// requires. A periodic boundary is a precondition violation (the
 /// registry never resolves one to a kernel), and so is an `Isa` the CPU

@@ -31,22 +31,25 @@
 // block_parallel. The store op is picked per row inside the one
 // instantiation, so both ops share each entry's code.
 //
-// ## Runs: a 2D pass advances all its blocks one row at a time
+// ## Runs: adjacent blocks compute as one merged tile
 //
 // A kernel call covers a run of consecutive blocks (the synchronous
-// simulator hands over a whole pass; one block is the count-1 run). In 2D
-// the run advances in lock-step: per stream row y, every block, in x
-// order, does its read / update / store above from its own windows. The
-// blocks are independent -- each reads only `in`, stores only its retired
-// span of `out`, and reads `prev` only at those cells, prev == out
-// included -- so the order changes no bit. It does change the memory
-// traffic: one block walking all its rows reads `bsize_x`-float segments
-// a whole grid row apart (256 B every 4 KiB at bsize_x 64 on a 1024-wide
-// grid), a stride the hardware prefetcher does not follow, while the run
-// reads `in` and writes `out` row by row across the grid. A run keeps
-// every block's windows live, so it advances in sub-runs whose windows
-// fit kRunWindowBudget (a block past the budget runs alone). 3D runs walk
-// their blocks one at a time: one block's windows already outgrow L2.
+// simulator hands over a whole pass; one block is the count-1 run). The
+// paper gives every block its own halo because the FPGA buffers one
+// bsize-wide window at a time; a host run can keep a wider window live,
+// so the overlap between neighbouring blocks of a run buys nothing. A run
+// therefore computes as a few merged tiles (merged_tiles): a rectangle of
+// its blocks computed as one block, whose origin is its first block's and
+// whose retired region is the union of its blocks' retired regions --
+// contiguous, because retired spans tile the grid. Windows, stage cones,
+// ghost fills and the influence-cone argument below hold for a tile as
+// for a block, with the tile's edges in place of the block's, so no bit
+// changes. A tile grows along x while its windows fit kRunWindowBudget,
+// then (3D) across block-rows: a 2D pass over a 1024-wide grid is one
+// tile, read and written row by row across the grid (one bsize_x-wide
+// block reads segments a grid row apart, a stride the hardware prefetcher
+// does not follow), while a block whose windows alone exceed the budget
+// is a tile of its own. RunStats still count plan blocks.
 //
 // Per cell the arithmetic is the interpreter's exactly: taps accumulate
 // in tap-set order (acc = c0*t0; acc += ct*tt) and only in-grid centers
@@ -67,7 +70,7 @@
 //
 // Every window row/plane carries Rad padding cells per side of each
 // blocked axis. Whenever a stage writes a row (2D) or plane (3D) whose
-// block holds a grid edge, the Rad cells past that edge are filled by the
+// tile holds a grid edge, the Rad cells past that edge are filled by the
 // boundary condition's rule from the values just written: clamp copies
 // the edge cell, reflective the mirrored cell (-k -> k, n-1+k -> n-1-k),
 // dirichlet writes its constant. In 3D the x margins of every in-grid row
@@ -89,9 +92,9 @@
 //
 // By induction, the stage-k cells any retired cell depends on lie within
 // [w_lo - (steps - k)*Rad, w_hi + (steps - k)*Rad) of each blocked axis,
-// where [w_lo, w_hi) is the block's retired region: each stage widens the
-// cone by at most Rad, and a ghost read at a grid edge resolves to a cell
-// at most Rad further inward, which is inside the previous stage's cone.
+// where [w_lo, w_hi) is the block's (tile's) retired region: each stage
+// widens the cone by at most Rad, and a ghost read at a grid edge resolves
+// to a cell at most Rad further inward, inside the previous stage's cone.
 // So stage k computes only that span, clipped to the in-grid cells (x is
 // widened to whole ParVec chunks inside the in-grid span, so no chunk is
 // split into a scalar tail; y rows are not widened), and stage `steps`
@@ -100,7 +103,7 @@
 // arithmetic; everything outside -- stale window values, the zeroed
 // padding at block edges inside the grid where the interpreter's ring
 // reads wrapped rows -- is don't-care for both implementations. The cone
-// stays at least Rad inside the block edge for k >= 1 since
+// stays at least Rad inside the tile edge for k >= 1 since
 // halo = partime*radius >= steps*Rad. tests/kernels_test.cpp verifies the
 // retired output bit-for-bit against the interpreter for every envelope
 // entry on every ISA the CPU supports.
@@ -200,7 +203,7 @@ struct LaneVec<8> {
   typedef float type __attribute__((vector_size(32)));
 };
 
-/// Cells [lo, hi) of one output row: `taps[t] + off` points at block-local
+/// Cells [lo, hi) of one output row: `taps[t] + off` points at tile-local
 /// x == 0 of tap t's source row, already shifted by the tap's dx. Each
 /// ParVec chunk accumulates in ParVec / Lanes registers. With `Add`, each
 /// cell stores `prev[x] + acc` (prev first, as StoreOp documents). Always
@@ -268,9 +271,9 @@ template <int Lanes, int ParVec, typename Count>
   }
 }
 
-/// A blocked axis in block-local coordinates: in-grid cells [lo, hi), and
-/// whether the block holds the grid's low/high edge. Only a held edge
-/// gets its Rad ghost cells filled; an edge beyond the block leaves the
+/// A blocked axis in tile-local coordinates: in-grid cells [lo, hi), and
+/// whether the tile holds the grid's low/high edge. Only a held edge
+/// gets its Rad ghost cells filled; an edge beyond the tile leaves the
 /// padding alone, which the influence cone never reads.
 struct AxisEdges {
   std::int64_t lo = 0, hi = 0;
@@ -308,7 +311,7 @@ inline Span whole_chunks(Span s, const AxisEdges& e) {
   return {std::max(e.lo, e.hi - len), e.hi};
 }
 
-/// Block-local cell a clamp or reflective ghost at `g` copies.
+/// Tile-local cell a clamp or reflective ghost at `g` copies.
 inline std::int64_t ghost_source(BoundaryKind kind, std::int64_t g,
                                  const AxisEdges& e) {
   if (kind == BoundaryKind::reflective) {
@@ -317,7 +320,7 @@ inline std::int64_t ghost_source(BoundaryKind kind, std::int64_t g,
   return g < e.lo ? e.lo : e.hi - 1;
 }
 
-/// Fills the x ghosts of one row (`row` at block-local x == 0).
+/// Fills the x ghosts of one row (`row` at tile-local x == 0).
 template <int Rad>
 inline void fill_row_ghosts(float* row, const AxisEdges& ex,
                             const BoundaryCondition& bc) {
@@ -332,7 +335,7 @@ inline void fill_row_ghosts(float* row, const AxisEdges& ex,
   if (ex.has_hi) fill(ex.hi);
 }
 
-/// Fills the y ghost rows of one plane (`origin` at block-local (0, 0),
+/// Fills the y ghost rows of one plane (`origin` at tile-local (0, 0),
 /// rows `prow` apart) with whole padded rows, x ghosts included.
 template <int Rad>
 inline void fill_plane_ghosts(float* origin, std::int64_t prow,
@@ -368,179 +371,113 @@ inline std::int64_t stream_source(const BoundaryCondition& bc, std::int64_t i,
   }
 }
 
-/// Floats of block windows a 2D run keeps live at once: a run whose
-/// blocks' windows exceed it advances in sub-runs that fit, and a block
-/// whose windows alone exceed it runs alone. 256 KiB stays inside L2
-/// beside the rows the run streams.
+/// Floats of windows one tile keeps live: a run's blocks merge into
+/// tiles whose windows fit it, and a block whose windows alone exceed it
+/// is a tile of its own. 256 KiB stays inside L2 beside the rows the tile
+/// streams.
 inline constexpr std::int64_t kRunWindowBudget = 256 * 1024 / sizeof(float);
 
-/// One block of a 2D run: its x geometry and where its windows live.
-struct RowBlock {
-  std::int64_t x0 = 0;
-  AxisEdges ex;
-  std::int64_t wx_hi = 0;  ///< retired span [halo, wx_hi), block-local
-  /// Block-local x == 0 of stage 0's first window row; stage k's window
-  /// starts k * (2*Rad + 1) rows on.
-  float* windows = nullptr;
-  const Span* stage_x = nullptr;  ///< [k]: the x cells stage k computes
+/// One blocked axis of a merged tile: tile-local 0 is grid cell `origin`,
+/// the tile spans `size` cells and retires [w_lo, w_hi). 2D tiles keep the
+/// default y: one row, retired.
+struct TileAxis {
+  std::int64_t origin = 0, size = 1, w_lo = 0, w_hi = 1;
 };
 
-/// 2D run pass over blocks [first, first + count), whose windows fit the
-/// budget: x blocked, y streamed, window planes single rows. Per stream
-/// row every block, in x order, loads its row segment, computes its stage
-/// rows and stores its retired span, each from its own windows, so the
-/// run reads `in` and writes `out` row by row across the grid. Always
-/// inlined into run_blocks_for, which fixes its ISA.
-template <int Rad, int ParVec, int Lanes, typename Count>
-[[gnu::always_inline]] inline void run_row_interleaved(
-    const BlockingPlan& plan, std::int64_t first, std::int64_t count,
-    const Grid2D<float>& in, Grid2D<float>& out, int steps,
-    const TapView<Count>& taps, const KernelArgs& args, RunStats& stats,
-    const CancellationToken* cancel) {
-  constexpr std::int64_t W = 2 * Rad + 1;
+/// A merged tile: a rectangle of a run's blocks, computed as one block.
+struct Tile {
+  TileAxis x, y;
+};
+
+/// The axis of blocks [lo, hi) of `csize` cells each on an `n`-cell grid
+/// axis: the first block's origin, and the union of the blocks' retired
+/// spans, which is contiguous because retired spans tile the grid.
+inline TileAxis tile_axis(std::int64_t lo, std::int64_t hi,
+                          std::int64_t csize, std::int64_t n,
+                          std::int64_t halo) {
+  const std::int64_t origin = lo * csize - halo;
+  return {origin, (hi - lo) * csize + 2 * halo, halo,
+          std::min(n, hi * csize) - origin};
+}
+
+/// The merged tiles of blocks [first, first + count) of `plan`, in block
+/// order, for windows of `rad` ghost cells. The run splits into bands of
+/// block-rows over one x range (whole rows, or a partial row at either end
+/// of the run). A band's tiles are as many blocks wide as fit
+/// kRunWindowBudget one block-row tall, then (3D) as many block-rows tall
+/// as fit that width, with the blocks shared out evenly.
+inline std::vector<Tile> merged_tiles(const BlockingPlan& plan,
+                                      std::int64_t first, std::int64_t count,
+                                      int steps, int rad) {
   const AcceleratorConfig& cfg = plan.config;
-  const BoundaryCondition& bc = args.boundary;
-  const std::int64_t ny = in.ny();
-  const std::int64_t prow = cfg.bsize_x + 2 * Rad;  // padded row stride
-  const std::int64_t stage_cells = W * prow;        // one stage's window
-
-  // Per block: windows for stages 0 .. steps-1 (the last stage stores
-  // into `out`), then one dirichlet ghost row for the whole run.
-  KernelWorkspace& ws = tls_kernel_workspace();
-  const std::size_t windows = std::size_t(count * steps * stage_cells);
-  float* base = ws.ensure(windows + std::size_t(prow));
-  std::fill(base, base + windows, 0.0f);
-  // Dirichlet: every tap past the streamed edge reads this constant row.
-  float* const ghost_row = base + windows + Rad;
-  if (bc.kind == BoundaryKind::dirichlet) {
-    std::fill(ghost_row - Rad, ghost_row - Rad + prow, bc.value);
-  }
-
-  // Per-block state, worked out once per run. The x cells stage k < steps
-  // computes are its influence cone (see above); recomputing it per row
-  // cost 2-tap rows ~10%.
-  const std::int64_t wx_lo = cfg.halo();
-  std::vector<RowBlock> blocks(static_cast<std::size_t>(count));
-  std::vector<Span> spans(static_cast<std::size_t>(count * steps));
-  for (std::int64_t i = 0; i < count; ++i) {
-    const BlockExtent blk = block_extent(plan, first + i);
-    RowBlock& b = blocks[std::size_t(i)];
-    b.x0 = blk.x0;
-    b.ex = axis_edges(blk.x0, in.nx(), cfg.bsize_x);
-    b.wx_hi = std::min(wx_lo + cfg.csize_x(), blk.valid_x_end - blk.x0);
-    b.windows = base + i * steps * stage_cells + Rad;
-    Span* xs = spans.data() + i * steps;
-    for (int k = 1; k < steps; ++k) {
-      xs[k] = whole_chunks<ParVec>(
-          cone(wx_lo, b.wx_hi, std::int64_t(steps - k) * Rad, b.ex), b.ex);
-    }
-    b.stage_x = xs;
-  }
-
-  // Block-relative offset of stage k's window row holding stream row r:
-  // the same in every block of the run.
-  const auto row_at = [&](int k, std::int64_t r) {
-    return k * stage_cells + (r % W) * prow;
+  const bool k3d = cfg.dims == 3;
+  const std::int64_t halo = cfg.halo();
+  const std::int64_t csx = cfg.csize_x(), csy = cfg.csize_y();
+  // A tile of cx x cy blocks keeps steps * (2*rad + 1) window planes of
+  // (cx*csx + margin) x (cy*csy + margin) floats live (one row in 2D):
+  // halo and ghost cells on both sides of its blocks' compute cells.
+  const std::int64_t margin = 2 * (halo + rad);
+  const std::int64_t planes = std::int64_t(steps) * (2 * rad + 1);
+  // The most blocks of `csize` (1 .. n) whose padded extent fits `cells`.
+  const auto fit = [&](std::int64_t cells, std::int64_t csize,
+                       std::int64_t n) {
+    return std::clamp<std::int64_t>((cells - margin) / csize, 1, n);
   };
-  std::vector<std::int64_t> src_rows(std::size_t(steps) * W);
-  const std::int64_t ymax = ny + std::int64_t(steps) * Rad;
-  for (std::int64_t y = 0; y < ymax; ++y) {
-    if (cancel) cancel->throw_if_cancelled();
-    // The stages with a row to compute: stage k's row y - k*Rad became
-    // computable (its +Rad source in stage k-1 just landed) and is on the
-    // grid. Their source rows are resolved once for every block; -1 reads
-    // the dirichlet constant.
-    const int k_lo = y < ny ? 1 : int((y - ny) / Rad + 1);
-    const int k_hi = int(std::min<std::int64_t>(steps, y / Rad));
-    for (int k = k_lo; k <= k_hi; ++k) {
-      const std::int64_t r = y - std::int64_t(k) * Rad;
-      for (std::int64_t j = 0; j < W; ++j) {
-        const std::int64_t s = stream_source(bc, r + j - Rad, ny);
-        src_rows[std::size_t((k - 1) * W + j)] =
-            s < 0 ? -1 : row_at(k - 1, s);
+  std::vector<Tile> tiles;
+  const std::int64_t end = first + count;
+  for (std::int64_t b = first; b < end;) {
+    const std::int64_t by = b / plan.blocks_x, lo = b % plan.blocks_x;
+    const bool whole = lo == 0 && end - b >= plan.blocks_x;
+    const std::int64_t hi =
+        whole ? plan.blocks_x : std::min(plan.blocks_x, lo + end - b);
+    const std::int64_t rows = whole ? (end - b) / plan.blocks_x : 1;
+    b += (hi - lo) * rows;
+    const std::int64_t cx = fit(
+        kRunWindowBudget / (planes * (k3d ? csy + margin : 1)), csx, hi - lo);
+    const std::int64_t cy =
+        k3d ? fit(kRunWindowBudget / (planes * (cx * csx + margin)), csy,
+                  rows)
+            : 1;
+    const std::int64_t tx = ceil_div(hi - lo, cx), ty = ceil_div(rows, cy);
+    for (std::int64_t j = 0; j < ty; ++j) {
+      Tile t;
+      if (k3d) {
+        t.y = tile_axis(by + j * rows / ty, by + (j + 1) * rows / ty, csy,
+                        plan.ny, halo);
       }
-    }
-
-    for (const RowBlock& b : blocks) {
-      // --- read: load input row y and fill its ghosts ---
-      if (y < ny && b.ex.hi > b.ex.lo) {
-        float* row = b.windows + row_at(0, y);
-        std::memcpy(row + b.ex.lo, &in.at(b.x0 + b.ex.lo, y),
-                    std::size_t(b.ex.hi - b.ex.lo) * sizeof(float));
-        fill_row_ghosts<Rad>(row, b.ex, bc);
-      }
-
-      // --- update: the stage rows that just became computable ---
-      for (int k = k_lo; k <= k_hi; ++k) {
-        const std::int64_t r = y - std::int64_t(k) * Rad;
-        std::array<const float*, W> src;
-        for (std::int64_t j = 0; j < W; ++j) {
-          const std::int64_t at = src_rows[std::size_t((k - 1) * W + j)];
-          src[std::size_t(j)] = at < 0 ? ghost_row : b.windows + at;
-        }
-        const float* tp[kMaxTableTaps];
-        for (int t = 0; t < taps.count; ++t) {
-          tp[t] = src[std::size_t(taps.dy[t] + Rad)] + taps.dx[t];
-        }
-        if (k < steps) {
-          float* dst = b.windows + row_at(k, r);
-          const Span xs = b.stage_x[k];
-          compute_row<Lanes, ParVec, false>(dst, xs.lo, xs.hi, tp, 0,
-                                            args.coeffs, taps.count, nullptr);
-          fill_row_ghosts<Rad>(dst, b.ex, bc);
-        } else if (b.wx_hi > wx_lo) {
-          // --- store: the finished row's retired span, into `out` ---
-          float* dst = &out.at(b.x0 + wx_lo, r);
-          store_row<Lanes, ParVec>(dst, b.wx_hi - wx_lo, tp, wx_lo,
-                                   args.coeffs, taps.count, args.store,
-                                   dst - out.data());
-          stats.cells_written += b.wx_hi - wx_lo;
-        }
+      for (std::int64_t i = 0; i < tx; ++i) {
+        t.x = tile_axis(lo + i * (hi - lo) / tx, lo + (i + 1) * (hi - lo) / tx,
+                        csx, plan.nx, halo);
+        tiles.push_back(t);
       }
     }
   }
-
-  stats.cells_streamed += count * plan.cells_streamed_per_pass;
-  stats.vectors_processed +=
-      count * (plan.cells_streamed_per_pass / cfg.parvec);
-  stats.block_passes += count;
+  return tiles;
 }
 
-/// 2D run pass: blocks [first, first + count) in sub-runs whose windows
-/// fit kRunWindowBudget, each advanced row by row (run_row_interleaved).
-template <int Rad, int ParVec, int Lanes, typename Count>
-[[gnu::always_inline]] inline void run_blocks(
-    const BlockingPlan& plan, std::int64_t first, std::int64_t count,
-    const Grid2D<float>& in, Grid2D<float>& out, int steps,
+/// One tile's pass. x (and y in 3D) is blocked and the last axis streamed:
+/// z-planes in 3D, grid rows in 2D, whose window planes are single padded
+/// rows. Always inlined into run_blocks_for, which fixes its ISA.
+template <int Rad, int ParVec, int Lanes, typename GridT, typename Count>
+[[gnu::always_inline]] inline void run_tile(
+    const Tile& tile, const GridT& in, GridT& out, int steps,
     const TapView<Count>& taps, const KernelArgs& args, RunStats& stats,
     const CancellationToken* cancel) {
-  const std::int64_t block_windows =
-      std::int64_t(steps) * (2 * Rad + 1) * (plan.config.bsize_x + 2 * Rad);
-  const std::int64_t per_run =
-      std::max<std::int64_t>(1, kRunWindowBudget / block_windows);
-  for (std::int64_t b = first; b < first + count; b += per_run) {
-    run_row_interleaved<Rad, ParVec, Lanes>(
-        plan, b, std::min(per_run, first + count - b), in, out, steps, taps,
-        args, stats, cancel);
-  }
-}
-
-/// 3D block pass: x/y blocked, z streamed; window planes are padded
-/// (bsize_y + 2*Rad) x (bsize_x + 2*Rad) tiles. Inlined like the 2D one.
-template <int Rad, int ParVec, int Lanes, typename Count>
-[[gnu::always_inline]] inline void run_block(
-    const BlockingPlan& plan, const BlockExtent& blk, const Grid3D<float>& in,
-    Grid3D<float>& out, int steps, const TapView<Count>& taps,
-    const KernelArgs& args, RunStats& stats, const CancellationToken* cancel) {
+  constexpr bool k3d = std::is_same_v<GridT, Grid3D<float>>;
   constexpr std::int64_t W = 2 * Rad + 1;
-  const AcceleratorConfig& cfg = plan.config;
+  constexpr std::int64_t YPad = k3d ? Rad : 0;  // y ghost rows per side
   const BoundaryCondition& bc = args.boundary;
-  const std::int64_t bx = cfg.bsize_x, by = cfg.bsize_y;
-  const std::int64_t nz = in.nz();
-  const std::int64_t x0 = blk.x0, y0 = blk.y0;
-  const std::int64_t prow = bx + 2 * Rad;
-  const std::int64_t plane_cells = prow * (by + 2 * Rad);
-  const std::int64_t pad = Rad * prow + Rad;  // plane start -> (0, 0)
+  const std::int64_t nx = in.nx();
+  std::int64_t ny = 1, nz = in.ny();  // grid rows per plane, planes
+  if constexpr (k3d) ny = in.ny(), nz = in.nz();
+  const int* const tap_dz = k3d ? taps.dz : taps.dy;  // stream offsets
+  const std::int64_t prow = tile.x.size + 2 * Rad;
+  const std::int64_t plane_cells = prow * (tile.y.size + 2 * YPad);
+  const std::int64_t pad = YPad * prow + Rad;  // plane start -> (0, 0)
+  // Grid cell (x, y) of plane z, tile-local.
+  const auto cell = [&](std::int64_t x, std::int64_t y, std::int64_t z) {
+    return (z * ny + tile.y.origin + y) * nx + tile.x.origin + x;
+  };
 
   // Windows for stages 0 .. steps-1; the last stage stores into `out`.
   KernelWorkspace& ws = tls_kernel_workspace();
@@ -553,32 +490,26 @@ template <int Rad, int ParVec, int Lanes, typename Count>
   if (bc.kind == BoundaryKind::dirichlet) {
     std::fill(ghost_plane - pad, ghost_plane - pad + plane_cells, bc.value);
   }
-  const auto window = [&](int stage) {
-    return PlanarShiftRegister<float>(
-        base + std::size_t(stage) * W * plane_cells, W, plane_cells);
-  };
-  // Block-local (0, 0) of the window plane holding stream plane `p`.
+  // Stage 0's window; stage k's is the same ring k * W planes on. One
+  // view per tile: a view built per plane lookup cost 64-wide 2D blocks
+  // ~5%.
+  PlanarShiftRegister<float> ring(base, W, plane_cells);
+  // Tile-local (0, 0) of stage `stage`'s window plane holding plane `p`.
   const auto origin = [&](int stage, std::int64_t p) {
-    return window(stage).plane(p) + pad;
+    return ring.plane(p) + std::int64_t(stage) * W * plane_cells + pad;
   };
 
-  const AxisEdges ex = axis_edges(x0, in.nx(), bx);
-  const AxisEdges ey = axis_edges(y0, in.ny(), by);
-  const std::int64_t halo = cfg.halo();
-  const std::int64_t wx_lo = halo;
-  const std::int64_t wx_hi =
-      std::min(halo + cfg.csize_x(), blk.valid_x_end - x0);
-  const std::int64_t wy_lo = halo;
-  const std::int64_t wy_hi =
-      std::min(halo + cfg.csize_y(), blk.valid_y_end - y0);
-  // The x cells and y rows stage k < steps computes: its influence cone.
-  std::vector<Span> stage_x(static_cast<std::size_t>(steps));
-  std::vector<Span> stage_y(static_cast<std::size_t>(steps));
+  const AxisEdges ex = axis_edges(tile.x.origin, nx, tile.x.size);
+  const AxisEdges ey = k3d ? axis_edges(tile.y.origin, ny, tile.y.size)
+                           : AxisEdges{0, 1, false, false};
+  // The x cells and y rows stage k < steps computes: its influence cone,
+  // worked out once per tile (per row it cost 2-tap rows ~10%).
+  std::vector<std::array<Span, 2>> stage(static_cast<std::size_t>(steps));
   for (int k = 1; k < steps; ++k) {
     const std::int64_t reach = std::int64_t(steps - k) * Rad;
-    stage_x[std::size_t(k)] =
-        whole_chunks<ParVec>(cone(wx_lo, wx_hi, reach, ex), ex);
-    stage_y[std::size_t(k)] = cone(wy_lo, wy_hi, reach, ey);
+    stage[std::size_t(k)] = {
+        whole_chunks<ParVec>(cone(tile.x.w_lo, tile.x.w_hi, reach, ex), ex),
+        cone(tile.y.w_lo, tile.y.w_hi, reach, ey)};
   }
 
   const std::int64_t zmax = nz + std::int64_t(steps) * Rad;
@@ -587,9 +518,9 @@ template <int Rad, int ParVec, int Lanes, typename Count>
     // --- read: load input plane z and fill its ghosts ---
     if (z < nz && ex.hi > ex.lo && ey.hi > ey.lo) {
       float* o = origin(0, z);
-      for (std::int64_t y_rel = ey.lo; y_rel < ey.hi; ++y_rel) {
-        float* row = o + y_rel * prow;
-        std::memcpy(row + ex.lo, &in.at(x0 + ex.lo, y0 + y_rel, z),
+      for (std::int64_t y = ey.lo; y < ey.hi; ++y) {
+        float* row = o + y * prow;
+        std::memcpy(row + ex.lo, in.data() + cell(ex.lo, y, z),
                     std::size_t(ex.hi - ex.lo) * sizeof(float));
         fill_row_ghosts<Rad>(row, ex, bc);
       }
@@ -608,53 +539,51 @@ template <int Rad, int ParVec, int Lanes, typename Count>
       }
       const float* tp[kMaxTableTaps];
       for (int t = 0; t < taps.count; ++t) {
-        tp[t] = src[std::size_t(taps.dz[t] + Rad)] + taps.dy[t] * prow +
-                taps.dx[t];
+        tp[t] = src[std::size_t(tap_dz[t] + Rad)] + taps.dx[t];
+        if constexpr (k3d) tp[t] += taps.dy[t] * prow;
       }
       if (k < steps) {
         float* o = origin(k, p);
-        const Span xs = stage_x[std::size_t(k)];
-        const Span ys = stage_y[std::size_t(k)];
-        for (std::int64_t y_rel = ys.lo; y_rel < ys.hi; ++y_rel) {
-          float* dst = o + y_rel * prow;
-          compute_row<Lanes, ParVec, false>(dst, xs.lo, xs.hi, tp,
-                                            y_rel * prow, args.coeffs,
-                                            taps.count, nullptr);
+        const auto [xs, ys] = stage[std::size_t(k)];
+        for (std::int64_t y = ys.lo; y < ys.hi; ++y) {
+          float* dst = o + y * prow;
+          compute_row<Lanes, ParVec, false>(dst, xs.lo, xs.hi, tp, y * prow,
+                                            args.coeffs, taps.count,
+                                            nullptr);
           fill_row_ghosts<Rad>(dst, ex, bc);
         }
         fill_plane_ghosts<Rad>(o, prow, ey, bc);
-      } else if (wx_hi > wx_lo) {
+      } else if (tile.x.w_hi > tile.x.w_lo) {
         // --- store: the finished plane's retired region, into `out` ---
-        for (std::int64_t y_rel = wy_lo; y_rel < wy_hi; ++y_rel) {
-          float* dst = &out.at(x0 + wx_lo, y0 + y_rel, p);
-          store_row<Lanes, ParVec>(dst, wx_hi - wx_lo, tp,
-                                   y_rel * prow + wx_lo, args.coeffs,
-                                   taps.count, args.store, dst - out.data());
-          stats.cells_written += wx_hi - wx_lo;
+        const std::int64_t n = tile.x.w_hi - tile.x.w_lo;
+        for (std::int64_t y = tile.y.w_lo; y < tile.y.w_hi; ++y) {
+          const std::int64_t at = cell(tile.x.w_lo, y, p);
+          store_row<Lanes, ParVec>(out.data() + at, n, tp,
+                                   y * prow + tile.x.w_lo, args.coeffs,
+                                   taps.count, args.store, at);
+          stats.cells_written += n;
         }
       }
     }
   }
-
-  stats.cells_streamed += plan.cells_streamed_per_pass;
-  stats.vectors_processed += plan.cells_streamed_per_pass / cfg.parvec;
-  ++stats.block_passes;
 }
 
-/// 3D run pass: blocks [first, first + count) one after another. A 3D
-/// block's windows (tiles of 2*Rad + 1 planes per stage) already outgrow
-/// L2 at the paper's geometry, so interleaving blocks would not keep them
-/// resident.
-template <int Rad, int ParVec, int Lanes, typename Count>
+/// Run pass: blocks [first, first + count) as merged tiles, one after
+/// another. RunStats count plan blocks, as the interpreter does.
+template <int Rad, int ParVec, int Lanes, typename GridT, typename Count>
 [[gnu::always_inline]] inline void run_blocks(
     const BlockingPlan& plan, std::int64_t first, std::int64_t count,
-    const Grid3D<float>& in, Grid3D<float>& out, int steps,
-    const TapView<Count>& taps, const KernelArgs& args, RunStats& stats,
+    const GridT& in, GridT& out, int steps, const TapView<Count>& taps,
+    const KernelArgs& args, RunStats& stats,
     const CancellationToken* cancel) {
-  for (std::int64_t b = first; b < first + count; ++b) {
-    run_block<Rad, ParVec, Lanes>(plan, block_extent(plan, b), in, out, steps,
-                                  taps, args, stats, cancel);
+  for (const Tile& tile : merged_tiles(plan, first, count, steps, Rad)) {
+    run_tile<Rad, ParVec, Lanes>(tile, in, out, steps, taps, args, stats,
+                                 cancel);
   }
+  stats.cells_streamed += count * plan.cells_streamed_per_pass;
+  stats.vectors_processed +=
+      count * (plan.cells_streamed_per_pass / plan.config.parvec);
+  stats.block_passes += count;
 }
 
 #if defined(__x86_64__)

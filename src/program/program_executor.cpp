@@ -33,6 +33,7 @@ struct ResolvedNode {
   ExecutionBackend backend = ExecutionBackend::sync_sim;
   bool pointwise = false;
   bool owns = false;  ///< runs in place on its field (owning_flags)
+  std::uint64_t probe = 0;  ///< its backend's half-open probe slot, if any
   int in_field = 0;
   int out_field = 0;
 };
@@ -380,6 +381,7 @@ ProgramOutcome ProgramExecutor::run_program(const ProgramSpec& program,
       const CircuitBreaker::Decision routed =
           services_.breaker->route(rn.backend);
       rn.backend = routed.backend;
+      rn.probe = routed.probe;
       if (routed.rerouted) {
         out.rerouted = true;
         metrics.counter(m("breaker_rerouted")).add(1);
@@ -390,6 +392,17 @@ ProgramOutcome ProgramExecutor::run_program(const ProgramSpec& program,
     if (rn.backend != ExecutionBackend::sync_sim) out.backend = rn.backend;
   }
 
+  // Every arm that ends the run early hands back the probe slots its
+  // nodes took, except on `charged`, the backend on_failure already
+  // charged (which frees its slot).
+  const auto release_probes = [&](ExecutionBackend charged) {
+    if (!services_.breaker) return;
+    for (const ResolvedNode& rn : resolved) {
+      if (rn.probe != 0 && rn.backend != charged) {
+        services_.breaker->release_probe(rn.backend, rn.probe);
+      }
+    }
+  };
   ExecutionBackend running = ExecutionBackend::automatic;
   try {
     if (program.dims() == 2) {
@@ -400,11 +413,15 @@ ProgramOutcome ProgramExecutor::run_program(const ProgramSpec& program,
                                resolved, token, worker_id, running, out);
     }
   } catch (const CancelledError&) {
-    throw;  // says nothing about the backend's health
+    // Says nothing about the backend's health.
+    release_probes(ExecutionBackend::automatic);
+    throw;
   } catch (const ConfigError&) {
-    throw;  // the spec's fault, not the backend's
+    release_probes(ExecutionBackend::automatic);  // the spec's fault
+    throw;
   } catch (...) {
     if (services_.breaker) services_.breaker->on_failure(running);
+    release_probes(running);
     throw;
   }
   if (services_.breaker) {

@@ -34,24 +34,6 @@ std::int64_t TapSet::flat_offset(const Tap& t, std::int64_t bsize_x,
   return t.dz * row_cells + t.dy * bsize_x + t.dx;
 }
 
-std::int64_t TapSet::min_flat_offset(std::int64_t bsize_x,
-                                     std::int64_t row_cells) const {
-  std::int64_t m = 0;
-  for (const Tap& t : taps_) {
-    m = std::min(m, flat_offset(t, bsize_x, row_cells));
-  }
-  return m;
-}
-
-std::int64_t TapSet::max_flat_offset(std::int64_t bsize_x,
-                                     std::int64_t row_cells) const {
-  std::int64_t m = 0;
-  for (const Tap& t : taps_) {
-    m = std::max(m, flat_offset(t, bsize_x, row_cells));
-  }
-  return m;
-}
-
 TapSet::FlatReach TapSet::remapped_reach(std::int64_t bsize_x,
                                          std::int64_t row_cells) const {
   const std::int64_t stride[3] = {1, bsize_x, row_cells};

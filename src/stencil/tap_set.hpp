@@ -110,13 +110,6 @@ class TapSet {
   [[nodiscard]] std::int64_t flat_offset(const Tap& t, std::int64_t bsize_x,
                                          std::int64_t row_cells) const;
 
-  /// Smallest/largest flat offsets over all taps -- the shift-register
-  /// window the tap set needs.
-  [[nodiscard]] std::int64_t min_flat_offset(std::int64_t bsize_x,
-                                             std::int64_t row_cells) const;
-  [[nodiscard]] std::int64_t max_flat_offset(std::int64_t bsize_x,
-                                             std::int64_t row_cells) const;
-
   /// The flat offsets [back, fwd] (back <= 0 <= fwd) a tap can read once
   /// the boundary remaps it at a border. Clamp pulls each axis of a tap
   /// toward the center, so an axis offset d reads anywhere from 0 to d;
@@ -124,7 +117,7 @@ class TapSet {
   /// periodic taps read only their plain offsets. A remap can carry an
   /// asymmetric tap past every plain offset -- clamp turns (-2, 1) at
   /// x = 0 into (0, 1) -- so the interpreter's shift register and stage
-  /// lag are sized from this, not from min/max_flat_offset.
+  /// lag are sized from this, not from the plain offsets' extremes.
   struct FlatReach {
     std::int64_t back = 0, fwd = 0;
   };

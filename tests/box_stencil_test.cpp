@@ -18,7 +18,7 @@ TEST(TapSet, Validation) {
   EXPECT_NO_THROW(TapSet(3, 2, {Tap{1, -2, 2, 1.f}}));
 }
 
-TEST(TapSet, FlatOffsetsAndExtent) {
+TEST(TapSet, FlatOffsets) {
   const TapSet t(3, 1,
                  {Tap{0, 0, 0, 1.f}, Tap{-1, 0, 0, 1.f}, Tap{0, 1, 0, 1.f},
                   Tap{1, 1, 1, 1.f}});
@@ -26,8 +26,6 @@ TEST(TapSet, FlatOffsetsAndExtent) {
   EXPECT_EQ(t.flat_offset(t.taps()[1], bx, plane), -1);
   EXPECT_EQ(t.flat_offset(t.taps()[2], bx, plane), 8);
   EXPECT_EQ(t.flat_offset(t.taps()[3], bx, plane), plane + 8 + 1);
-  EXPECT_EQ(t.min_flat_offset(bx, plane), -1);
-  EXPECT_EQ(t.max_flat_offset(bx, plane), plane + 9);
 }
 
 TEST(TapSet, CostModel) {

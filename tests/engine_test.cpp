@@ -8,6 +8,7 @@
 #include <chrono>
 #include <thread>
 
+#include "engine/circuit_breaker.hpp"
 #include "engine/stencil_engine.hpp"
 #include "fault/fault_injector.hpp"
 #include "grid/grid_compare.hpp"
@@ -530,6 +531,32 @@ TEST(EngineBreaker, ConfigErrorsDoNotCharge) {
   EXPECT_EQ(engine.breaker_state(Backend::block_parallel),
             BreakerState::closed);
   EXPECT_EQ(engine.stats().breaker_trips, 0);
+}
+
+TEST(EngineBreaker, StaleProbeReleaseLeavesALaterProbesSlot) {
+  // Threshold 1, no cooldown: every failure opens the breaker and the next
+  // route is a probe.
+  CircuitBreaker breaker(1, std::chrono::milliseconds(0));
+  const Backend bp = Backend::block_parallel;
+  breaker.on_failure(bp);
+  const CircuitBreaker::Decision p = breaker.route(bp);
+  ASSERT_NE(p.probe, 0u);
+  // A straggler from before the trip fails: the breaker reopens, and the
+  // next job is a new probe.
+  breaker.on_failure(bp);
+  const CircuitBreaker::Decision q = breaker.route(bp);
+  ASSERT_NE(q.probe, 0u);
+  EXPECT_NE(q.probe, p.probe);
+  // The first probe is cancelled: its release must not free the second's
+  // slot, so the next job still reroutes.
+  breaker.release_probe(bp, p.probe);
+  EXPECT_TRUE(breaker.route(bp).rerouted);
+  // The second probe is cancelled: the next job is the probe.
+  breaker.release_probe(bp, q.probe);
+  const CircuitBreaker::Decision r = breaker.route(bp);
+  EXPECT_FALSE(r.rerouted);
+  EXPECT_NE(r.probe, 0u);
+  EXPECT_EQ(breaker.state(bp), BreakerState::half_open);
 }
 
 // -------------------------------------------------------------------------

@@ -16,12 +16,14 @@
 // against the interpreter, whichever one the registry picked, with the
 // last pass assigning, adding onto a separate grid, and adding onto its
 // own output. The run cases check that a pass handed over as one run of
-// blocks (2D: advanced row by row across all of them) matches the same
-// pass as one call per block, on every 2D entry and ISA, including runs
-// split by the kernels' window budget.
+// blocks (computed as merged tiles) matches the same pass as one call per
+// block, on every 2D and 3D entry and ISA, including runs that the
+// kernels' window budget splits into several tiles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <span>
 #include <thread>
 
 #include "common/math_util.hpp"
@@ -29,6 +31,7 @@
 #include "core/stencil_accelerator.hpp"
 #include "grid/grid_compare.hpp"
 #include "kernels/kernel_registry.hpp"
+#include "kernels/kernel_workspace.hpp"
 #include "stencil/box_stencil.hpp"
 #include "stencil/reference.hpp"
 #include "stencil/star_stencil.hpp"
@@ -571,34 +574,117 @@ std::vector<KernelIsa> supported_isas() {
   return isas;
 }
 
+/// `taps`, which the registry gives `shape` entries, on `interp`'s block
+/// geometry, `iters` steps from `base`: at every parvec and on every ISA
+/// the CPU supports, each pass as one run call `==` the same pass as one
+/// call per block `==` the interpreter, with equal RunStats, for each of
+/// `stores` (add cases add onto `prev`). The interpreter's bits do not
+/// depend on parvec or ISA, so it runs once per op.
+template <typename GridT>
+void expect_runs_match(const TapSet& taps, StencilShape shape,
+                       AcceleratorConfig interp, int iters, const GridT& base,
+                       const GridT& prev, std::span<const StoreCase> stores,
+                       const std::string& where) {
+  interp.use_specialized_kernels = false;
+  StencilAccelerator interpreter(taps, interp);
+  const auto has = [&](bool add) {
+    return std::any_of(stores.begin(), stores.end(), [&](StoreCase c) {
+      return (c != StoreCase::kAssign) == add;
+    });
+  };
+  GridT want_assign = base;
+  GridT want_add = prev;
+  RunStats want_stats;
+  if (has(false)) {
+    want_stats =
+        interpreter.run_into(base, want_assign, iters, StoreOp::assign());
+  }
+  if (has(true)) {
+    want_stats = interpreter.run_into(base, want_add, iters,
+                                      StoreOp::add(prev.data()));
+  }
+  for (int pv : kParvecs) {
+    AcceleratorConfig cfg = interp;
+    cfg.parvec = pv;
+    cfg.use_specialized_kernels = true;
+    const SpecializedKernel* found = KernelRegistry::instance().find(taps, cfg);
+    ASSERT_NE(found, nullptr) << where;
+    ASSERT_EQ(found->shape, shape) << where;
+    for (const KernelIsa isa : supported_isas()) {
+      const SpecializedKernel k = kernels_detail::with_isa(*found, isa);
+      for (const StoreCase c : stores) {
+        const std::string label = std::string(found->name) + " " +
+                                  kernel_isa_name(isa) + " " +
+                                  store_case_name(c) + " " + where;
+        GridT run_out, block_out;
+        const StoreOp run_store = start_store(c, prev, run_out);
+        const StoreOp block_store = start_store(c, prev, block_out);
+        const RunStats run_stats = run_kernel_passes(
+            k, taps, cfg, base, run_out, iters, 1, run_store,
+            PassCalls::kOneRun);
+        const RunStats block_stats = run_kernel_passes(
+            k, taps, cfg, base, block_out, iters, 1, block_store);
+        const CompareResult vs_blocks = compare_exact(run_out, block_out);
+        EXPECT_TRUE(vs_blocks.identical())
+            << label << " run vs one-block: " << vs_blocks.summary();
+        const CompareResult vs_interp = compare_exact(
+            block_out, c == StoreCase::kAssign ? want_assign : want_add);
+        EXPECT_TRUE(vs_interp.identical())
+            << label << " one-block vs interpreter: " << vs_interp.summary();
+        expect_block_stats_equal(run_stats, block_stats,
+                                 label + " run vs one-block");
+        // The interpreter streamed one-cell vectors.
+        RunStats want_at_pv = want_stats;
+        want_at_pv.vectors_processed = want_stats.cells_streamed / pv;
+        expect_block_stats_equal(block_stats, want_at_pv,
+                                 label + " one-block vs interpreter");
+      }
+    }
+  }
+}
+
+/// The tap set of registry family `shape` at (dims, rad) under `bc`: the
+/// canonical star or box, or a reversed star for the runtime tables.
+TapSet family_taps(StencilShape shape, int dims, int rad,
+                   const BoundaryCondition& bc) {
+  const bool table = shape == StencilShape::kTable;
+  const TapSet canonical =
+      envelope_taps(table ? StencilShape::kStar : shape, dims, rad);
+  return (table ? reversed(canonical) : canonical).with_boundary(bc);
+}
+
+constexpr StencilShape kShapes[] = {StencilShape::kStar, StencilShape::kBox,
+                                    StencilShape::kTable};
+const BoundaryCondition kKernelBoundaries[] = {
+    BoundaryCondition::clamp(), BoundaryCondition::reflective(),
+    BoundaryCondition::dirichlet(0.75f)};
+
+std::string partime_grid_label(const BoundaryCondition& bc, int partime,
+                               std::int64_t nx, std::int64_t ny,
+                               std::int64_t nz = 1) {
+  std::string s = bc.describe() + " partime " + std::to_string(partime) +
+                  " " + std::to_string(nx) + "x" + std::to_string(ny);
+  return nz > 1 ? s + "x" + std::to_string(nz) : s;
+}
+
 /// Every 2D registry entry -- star and box on their canonical tables, the
 /// runtime-table families on a reversed star -- on every ISA the CPU
-/// supports: each pass as one run call `==` the same pass as one call per
-/// block `==` the interpreter, with equal RunStats. Partime 1-4, each with
-/// a short last pass (2p - 1 steps), on a grid of many blocks with a
-/// ragged last one and on a grid narrower than one block, under clamp,
-/// reflective and dirichlet, with every store case of the last pass. The
-/// interpreter's bits do not depend on parvec or ISA, so it runs once per
-/// tap set, geometry and op.
+/// supports: a pass as one run call `==` one call per block `==` the
+/// interpreter (expect_runs_match). Partime 1-4, each with a short last
+/// pass (2p - 1 steps), on a grid of many blocks with a ragged last one
+/// and on a grid narrower than one block, under clamp, reflective and
+/// dirichlet, with every store case of the last pass.
 TEST(KernelRuns, RunCallsMatchOneBlockCallsAndInterpreter) {
-  const std::vector<KernelIsa> isas = supported_isas();
   std::size_t entries = 0;
-  for (StencilShape shape :
-       {StencilShape::kStar, StencilShape::kBox, StencilShape::kTable}) {
-    const bool table = shape == StencilShape::kTable;
+  for (const StencilShape shape : kShapes) {
     for (int rad : kRadii) {
-      const TapSet canonical =
-          envelope_taps(table ? StencilShape::kStar : shape, 2, rad);
-      for (const BoundaryCondition& bc :
-           {BoundaryCondition::clamp(), BoundaryCondition::reflective(),
-            BoundaryCondition::dirichlet(0.75f)}) {
-        const TapSet taps =
-            (table ? reversed(canonical) : canonical).with_boundary(bc);
+      entries += std::size(kParvecs);
+      for (const BoundaryCondition& bc : kKernelBoundaries) {
+        const TapSet taps = family_taps(shape, 2, rad, bc);
         for (int partime = 1; partime <= 4; ++partime) {
           const int iters = partime == 1 ? 2 : 2 * partime - 1;
           AcceleratorConfig interp = envelope_config(2, rad, 1, partime);
           interp.bsize_x = round_up<std::int64_t>(2 * partime * rad + 8, 16);
-          interp.use_specialized_kernels = false;
           const std::int64_t csize = interp.csize_x();
           for (const auto& [nx, ny] : {std::pair{5 * csize + csize / 2 + 1, 11},
                                        std::pair{std::int64_t(rad) + 2, 9}}) {
@@ -606,98 +692,165 @@ TEST(KernelRuns, RunCallsMatchOneBlockCallsAndInterpreter) {
             base.fill_random(41, -1.0f, 1.0f);
             Grid2D<float> prev = base;
             prev.fill_random(42, -1.0f, 1.0f);
-            Grid2D<float> want_assign = base;
-            Grid2D<float> want_add = prev;
-            StencilAccelerator interpreter(taps, interp);
-            const RunStats want_stats = interpreter.run_into(
-                base, want_assign, iters, StoreOp::assign());
-            interpreter.run_into(base, want_add, iters,
-                                 StoreOp::add(prev.data()));
-            for (int pv : kParvecs) {
-              AcceleratorConfig cfg = interp;
-              cfg.parvec = pv;
-              cfg.use_specialized_kernels = true;
-              const SpecializedKernel* found =
-                  KernelRegistry::instance().find(taps, cfg);
-              ASSERT_NE(found, nullptr);
-              ASSERT_EQ(found->shape, shape);
-              for (const KernelIsa isa : isas) {
-                const SpecializedKernel k =
-                    kernels_detail::with_isa(*found, isa);
-                for (const StoreCase c : kStoreCases) {
-                  const std::string label =
-                      std::string(found->name) + " " + kernel_isa_name(isa) +
-                      " " + bc.describe() + " " + store_case_name(c) +
-                      " partime " + std::to_string(partime) + " " +
-                      std::to_string(nx) + "x" + std::to_string(ny);
-                  Grid2D<float> run_out, block_out;
-                  const StoreOp run_store = start_store(c, prev, run_out);
-                  const StoreOp block_store = start_store(c, prev, block_out);
-                  const RunStats run_stats =
-                      run_kernel_passes(k, taps, cfg, base, run_out, iters, 1,
-                                        run_store, PassCalls::kOneRun);
-                  const RunStats block_stats =
-                      run_kernel_passes(k, taps, cfg, base, block_out, iters,
-                                        1, block_store);
-                  const CompareResult vs_blocks =
-                      compare_exact(run_out, block_out);
-                  EXPECT_TRUE(vs_blocks.identical())
-                      << label << " run vs one-block: " << vs_blocks.summary();
-                  const CompareResult vs_interp = compare_exact(
-                      block_out,
-                      c == StoreCase::kAssign ? want_assign : want_add);
-                  EXPECT_TRUE(vs_interp.identical())
-                      << label << " one-block vs interpreter: "
-                      << vs_interp.summary();
-                  expect_block_stats_equal(run_stats, block_stats,
-                                           label + " run vs one-block");
-                  // The interpreter streamed one-cell vectors.
-                  RunStats want_at_pv = want_stats;
-                  want_at_pv.vectors_processed = want_stats.cells_streamed / pv;
-                  expect_block_stats_equal(block_stats, want_at_pv,
-                                           label + " one-block vs interpreter");
-                }
-              }
-            }
+            expect_runs_match(taps, shape, interp, iters, base, prev,
+                              kStoreCases,
+                              partime_grid_label(bc, partime, nx, ny));
           }
         }
       }
-      entries += std::size(kParvecs);
     }
   }
   // Every 2D entry: half the registry.
   EXPECT_EQ(2 * entries, KernelRegistry::instance().entries().size());
 }
 
+/// The 3D twin: every 3D registry entry on every ISA the CPU supports,
+/// partime 1-4 each with a short last pass, on a grid of 3x3 blocks with
+/// ragged last blocks in x and y and on a grid narrower than one block in
+/// both, where a run computes its blocks as one merged tile. The boundary
+/// and the last pass's store op rotate with partime, so every entry meets
+/// clamp, reflective and dirichlet and every store case while the
+/// interpreter runs one op per tap set, partime and grid.
+TEST(KernelRuns, Runs3DMatchOneBlockCallsAndInterpreter) {
+  std::size_t entries = 0;
+  for (const StencilShape shape : kShapes) {
+    for (int rad : kRadii) {
+      entries += std::size(kParvecs);
+      for (int partime = 1; partime <= 4; ++partime) {
+        const BoundaryCondition& bc = kKernelBoundaries[(partime + rad) % 3];
+        const StoreCase store = kStoreCases[(partime + int(shape)) % 3];
+        const TapSet taps = family_taps(shape, 3, rad, bc);
+        const int iters = partime == 1 ? 2 : 2 * partime - 1;
+        AcceleratorConfig interp = envelope_config(3, rad, 1, partime);
+        interp.bsize_x = round_up<std::int64_t>(2 * partime * rad + 8, 16);
+        interp.bsize_y = 2 * partime * rad + rad + 3;
+        const std::int64_t cx = interp.csize_x(), cy = interp.csize_y();
+        const std::int64_t narrow = rad + 2;
+        for (const auto& [nx, ny, nz] :
+             {std::tuple{2 * cx + cx / 2 + 1, 2 * cy + cy / 2 + 1,
+                         std::int64_t(rad) + 3},
+              std::tuple{narrow, narrow, narrow}}) {
+          Grid3D<float> base(nx, ny, nz);
+          base.fill_random(44, -1.0f, 1.0f);
+          Grid3D<float> prev = base;
+          prev.fill_random(45, -1.0f, 1.0f);
+          expect_runs_match(taps, shape, interp, iters, base, prev,
+                            std::span<const StoreCase>(&store, 1),
+                            partime_grid_label(bc, partime, nx, ny, nz));
+        }
+      }
+    }
+  }
+  // Every 3D entry: the other half.
+  EXPECT_EQ(2 * entries, KernelRegistry::instance().entries().size());
+}
+
+/// Floats of windows a merged tile may keep live (kRunWindowBudget).
+constexpr std::size_t kWindowBudget = 256 * 1024 / sizeof(float);
+
+/// `iters` steps of `taps` from `base` on the registry's kernel, each pass
+/// one run call, on a fresh thread: the same bits and RunStats as one call
+/// per block and the reference's bits, with every pass counting the plan's
+/// `plan_blocks` blocks. Returns the floats the thread's kernel workspace
+/// grew to -- the largest tile's windows plus its dirichlet ghost plane.
+template <typename GridT>
+std::size_t expect_run_exact(const TapSet& taps, const AcceleratorConfig& cfg,
+                             const GridT& base, int iters,
+                             std::int64_t plan_blocks,
+                             const std::string& label) {
+  GridT want = base;
+  reference_run(taps, want, iters);
+  const SpecializedKernel* k = KernelRegistry::instance().find(taps, cfg);
+  EXPECT_NE(k, nullptr) << label;
+  if (k == nullptr) return 0;
+  GridT run_out = base, block_out = base;
+  RunStats run_stats;
+  std::size_t slab = 0;
+  std::jthread([&] {
+    run_stats = run_kernel_passes(*k, taps, cfg, base, run_out, iters, 1,
+                                  StoreOp::assign(), PassCalls::kOneRun);
+    slab = tls_kernel_workspace().slab_cells();
+  }).join();
+  const RunStats block_stats = run_kernel_passes(
+      *k, taps, cfg, base, block_out, iters, 1, StoreOp::assign());
+  EXPECT_TRUE(compare_exact(run_out, want).identical()) << label;
+  EXPECT_TRUE(compare_exact(block_out, want).identical()) << label;
+  expect_block_stats_equal(run_stats, block_stats, label);
+  const std::int64_t passes = (iters + cfg.partime - 1) / cfg.partime;
+  EXPECT_EQ(run_stats.block_passes, passes * plan_blocks) << label;
+  return slab;
+}
+
 TEST(KernelRuns, RunsPastTheWindowBudgetSplitExact) {
-  // bsize_x 4096 at partime 8, radius 4: one block's windows (8 stages of
-  // 9 rows of 4104 floats, 1.2 MB) exceed the run budget, so each block
-  // runs alone. bsize_x 512 at partime 4 fits three blocks per sub-run,
-  // so a seven-block pass splits 3 + 3 + 1. Both end on a 1-step pass.
-  const TapSet taps = envelope_taps(StencilShape::kStar, 2, 4)
-                          .with_boundary(BoundaryCondition::reflective());
+  // Every case ends on a 1-step pass. A tile of `steps` stages keeps
+  // steps * (2r + 1) window planes plus one ghost plane, so a pass that
+  // splits grows the workspace past one block's windows but at most to
+  // the budget plus one plane (at most a (2r + 1)-th of it), and a block
+  // past the budget runs alone: the workspace holds exactly its windows
+  // and ghost plane.
+  const auto one_block = [](const AcceleratorConfig& cfg) {
+    const std::int64_t plane =
+        (cfg.bsize_x + 2 * cfg.radius) *
+        (cfg.dims == 3 ? cfg.bsize_y + 2 * cfg.radius : 1);
+    return std::size_t((cfg.partime * (2 * cfg.radius + 1) + 1) * plane);
+  };
+  const auto expect_split = [&](std::size_t slab, const AcceleratorConfig& cfg,
+                                const std::string& label) {
+    EXPECT_GT(slab, one_block(cfg)) << label << ": no blocks merged";
+    EXPECT_LE(slab, kWindowBudget + kWindowBudget / (2 * cfg.radius + 1))
+        << label << ": a tile's windows outgrew the budget";
+  };
+
+  // 2D, radius 4. bsize_x 4096 at partime 8: one block's windows (8
+  // stages of 9 rows of 4104 floats, 1.2 MB) exceed the budget, so each
+  // block runs alone. bsize_x 512 at partime 4: a tile of three blocks
+  // fits, so a seven-block pass splits into tiles of 2, 2 and 3 blocks.
+  const TapSet taps2 = envelope_taps(StencilShape::kStar, 2, 4)
+                           .with_boundary(BoundaryCondition::reflective());
   for (const auto& [bsize, partime, blocks] :
        {std::tuple{4096, 8, 3}, std::tuple{512, 4, 7}}) {
     AcceleratorConfig cfg = envelope_config(2, 4, 16, partime);
     cfg.bsize_x = bsize;
-    const std::int64_t nx = (blocks - 1) * cfg.csize_x() + 37;
-    Grid2D<float> base(nx, 10);
+    Grid2D<float> base((blocks - 1) * cfg.csize_x() + 37, 10);
     base.fill_random(43, -1.0f, 1.0f);
-    Grid2D<float> want = base;
-    reference_run(taps, want, partime + 1);
-    const SpecializedKernel* k = KernelRegistry::instance().find(taps, cfg);
-    ASSERT_NE(k, nullptr);
-    Grid2D<float> run_out(nx, 10), block_out(nx, 10);
-    const RunStats run_stats =
-        run_kernel_passes(*k, taps, cfg, base, run_out, partime + 1, 1,
-                          StoreOp::assign(), PassCalls::kOneRun);
-    const RunStats block_stats = run_kernel_passes(
-        *k, taps, cfg, base, block_out, partime + 1, 1, StoreOp::assign());
-    const std::string label = "bsize_x " + std::to_string(bsize);
-    EXPECT_TRUE(compare_exact(run_out, want).identical()) << label;
-    EXPECT_TRUE(compare_exact(block_out, want).identical()) << label;
-    expect_block_stats_equal(run_stats, block_stats, label);
-    EXPECT_EQ(run_stats.block_passes, 2 * blocks) << label;
+    const std::string label = "2D bsize_x " + std::to_string(bsize);
+    const std::size_t slab =
+        expect_run_exact(taps2, cfg, base, partime + 1, blocks, label);
+    if (bsize == 4096) {
+      EXPECT_EQ(slab, one_block(cfg)) << label;
+    } else {
+      expect_split(slab, cfg, label);
+    }
+  }
+
+  // 3D, radius 1, dirichlet. 32x32 blocks at partime 2 on 5x5 blocks: a
+  // whole block-row fits but only two rows of it, so the 2-step pass
+  // splits into tiles of 1, 2 and 2 block-rows. 160x144 blocks at partime
+  // 4: even the 1-step pass's windows of one block (3 planes of 162x146
+  // floats, 277 KiB) exceed the budget, so each of the 2x2 blocks runs
+  // alone.
+  const TapSet taps3 = envelope_taps(StencilShape::kStar, 3, 1)
+                           .with_boundary(BoundaryCondition::dirichlet(0.25f));
+  for (const auto& [bx, by, partime] :
+       {std::tuple{32, 32, 2}, std::tuple{160, 144, 4}}) {
+    AcceleratorConfig cfg = envelope_config(3, 1, 8, partime);
+    cfg.bsize_x = bx;
+    cfg.bsize_y = by;
+    const bool alone = bx == 160;
+    const std::int64_t blocks = alone ? 2 : 5;
+    Grid3D<float> base((blocks - 1) * cfg.csize_x() + 13,
+                       (blocks - 1) * cfg.csize_y() + 11, 6);
+    base.fill_random(46, -1.0f, 1.0f);
+    const std::string label =
+        "3D " + std::to_string(bx) + "x" + std::to_string(by);
+    const std::size_t slab =
+        expect_run_exact(taps3, cfg, base, partime + 1, blocks * blocks,
+                         label);
+    if (alone) {
+      EXPECT_EQ(slab, one_block(cfg)) << label;
+    } else {
+      expect_split(slab, cfg, label);
+    }
   }
 }
 

@@ -661,12 +661,17 @@ TEST(ProgramOwnership, AnotherReaderKeepsTheNodeOffItsFieldsFront) {
   expect_every_executor_matches_reference(p, "reader of an owner's field");
 }
 
-TEST(ProgramBreaker, ProgramNodesRerouteWhileOpenAndAProgramClosesIt) {
-  StencilEngine engine({.workers = 1,
-                        .breaker_threshold = 2,
-                        .breaker_cooldown = std::chrono::milliseconds(50)});
-  // Two consecutive failures on block_parallel trip its breaker: explicit
-  // backend, a hang that never ends, a watchdog to unwind it.
+/// An engine whose block_parallel breaker trips after two consecutive
+/// failures and cools down for 50 ms.
+EngineOptions breaker_engine_options() {
+  return {.workers = 1,
+          .breaker_threshold = 2,
+          .breaker_cooldown = std::chrono::milliseconds(50)};
+}
+
+/// Trips `engine`'s block_parallel breaker with two consecutive failures:
+/// explicit backend, a hang that never ends, a watchdog to unwind it.
+void trip_block_parallel(StencilEngine& engine) {
   const TapSet star = StarStencil::make_benchmark(2, 1, 5).to_taps();
   for (int i = 0; i < 2; ++i) {
     FaultInjector fi(FaultPlan::parse("seed=" + std::to_string(i + 1) +
@@ -682,6 +687,11 @@ TEST(ProgramBreaker, ProgramNodesRerouteWhileOpenAndAProgramClosesIt) {
     EXPECT_THROW((void)h.wait(), PassAbortedError);
     engine.wait_idle();  // the injector must outlive the execution
   }
+}
+
+TEST(ProgramBreaker, ProgramNodesRerouteWhileOpenAndAProgramClosesIt) {
+  StencilEngine engine(breaker_engine_options());
+  trip_block_parallel(engine);
   ASSERT_EQ(engine.breaker_state(Backend::block_parallel), BreakerState::open);
 
   // An FDTD job whose nodes route to block_parallel (2 workers, 5 blocks
@@ -705,6 +715,46 @@ TEST(ProgramBreaker, ProgramNodesRerouteWhileOpenAndAProgramClosesIt) {
   const JobResult pr = engine.run(std::move(probe));
   EXPECT_EQ(pr.backend, Backend::block_parallel);
   expect_fields_bitwise(pr.fields, want, "probe fdtd");
+  EXPECT_EQ(engine.breaker_state(Backend::block_parallel),
+            BreakerState::closed);
+  EXPECT_EQ(engine.buffer_pool().outstanding(), 0);
+}
+
+TEST(ProgramBreaker, CancelledProbeHandsBackItsSlot) {
+  StencilEngine engine(breaker_engine_options());
+  trip_block_parallel(engine);
+  ASSERT_EQ(engine.breaker_state(Backend::block_parallel), BreakerState::open);
+
+  // After the cooldown a long FDTD job is the half-open probe. Once the
+  // breaker shows the probe handed out, the job is running its nodes:
+  // cancel it there. A cancellation charges no health either way.
+  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  JobSpec long_probe(
+      std::make_shared<const ProgramSpec>(make_fdtd_program(512, 512, 2000)));
+  long_probe.workers = 2;
+  JobHandle h = engine.submit(std::move(long_probe));
+  while (engine.breaker_state(Backend::block_parallel) !=
+             BreakerState::half_open &&
+         !h.finished()) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  h.cancel();
+  ASSERT_EQ(h.wait_or_cancel(std::chrono::milliseconds(0)),
+            JobStatus::cancelled);
+  EXPECT_EQ(engine.breaker_state(Backend::block_parallel),
+            BreakerState::half_open);
+
+  // The slot came back: the next job, one node on block_parallel (5
+  // blocks, 2 workers), is the probe. It runs there without rerouting and
+  // closes the breaker.
+  const auto program = std::make_shared<const ProgramSpec>(owner_program(3));
+  JobSpec next(program);
+  next.workers = 2;
+  const JobResult r = engine.run(std::move(next));
+  EXPECT_FALSE(r.rerouted);
+  EXPECT_EQ(r.backend, Backend::block_parallel);
+  expect_fields_bitwise(r.fields, reference_run_program(*program),
+                        "probe after a cancelled probe");
   EXPECT_EQ(engine.breaker_state(Backend::block_parallel),
             BreakerState::closed);
   EXPECT_EQ(engine.buffer_pool().outstanding(), 0);
